@@ -23,9 +23,10 @@ from .ffield import (FieldCharacter, FieldElement, FieldSpec, additive_char,
                      poly_on_field, trace)
 from .meanvalues import (PowerSumKey, VinogradovParams, exact_W_field,
                          exact_W_multichar, exact_W_squarefree,
-                         iterate_solutions, lemma_rhs, power_sum_key,
-                         quadrature_W_reference, split_solutions,
-                         vinogradov_count_mitm, vinogradov_count_naive)
+                         expansion_W_reference, iterate_solutions, lemma_rhs,
+                         power_sum_key, quadrature_W_reference,
+                         split_solutions, vinogradov_count_mitm,
+                         vinogradov_count_naive)
 from .modular import (ResidueVector, SquarefreeModulus, crt_combine, crt_split,
                       divisor_count, factor_squarefree, mod_inverse)
 from .reports import VerificationReport, emit_report

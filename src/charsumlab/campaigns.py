@@ -24,7 +24,8 @@ from .cache import get_j_count
 from .characters import (DirichletCharacter, crt_character,
                          enumerate_primitive_characters)
 from .energy import cong_energy, ff_box_energy, linear_forms_energy
-from .errors import BudgetExceeded, DegenerateDenominator, HypothesisViolated
+from .errors import (BudgetExceeded, DegenerateDenominator, HypothesisViolated,
+                     IndexOutOfRange)
 from .ffield import FieldCharacter, build_field
 from .meanvalues import (VinogradovParams, exact_W_field, exact_W_multichar,
                          exact_W_squarefree, lemma_rhs)
@@ -174,8 +175,10 @@ def _threshold_for(cfg: CampaignConfig) -> float | None:
 _EXECUTION_ONLY_FIELDS = ("threads", "out", "csv")
 
 
-def _finish(cfg: CampaignConfig, records, notes, extra_pass: bool = True) -> VerificationReport:
+def _finish(cfg: CampaignConfig, records, notes, extra_pass: bool = True,
+            extra_aggregate: dict | None = None) -> VerificationReport:
     aggregate = _ratio_aggregate(records)
+    aggregate.update(extra_aggregate or {})
     # an empty campaign proves nothing and must not read as a pass
     passed = (extra_pass and len(records) > 0
               and all(rec.get("sanity_ok", True) for rec in records))
@@ -605,11 +608,10 @@ def _weil_campaign(cfg: CampaignConfig) -> VerificationReport:
 
     records = _run_instances(instances, evaluate, cfg.threads)
     total_viol = sum(rec["violations"] for rec in records)
-    report = _finish(cfg, records, _theorem_notes(
+    return _finish(cfg, records, _theorem_notes(
         [f"bound: (2r-1) * gcd(p, A_i)^(1/2) * p^(1/2) with r = {r}; "
-         "zero violations required"]), extra_pass=(total_viol == 0))
-    report.aggregate["total_violations"] = total_viol
-    return report
+         "zero violations required"]), extra_pass=(total_viol == 0),
+        extra_aggregate={"total_violations": total_viol})
 
 
 # ----------------------------------------------------------------------
@@ -755,6 +757,14 @@ LEMMA6_FIELDS = ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3), (61, 2))
 DEFAULT_V_SWEEP = (4, 8, 12, 16, 20)
 
 
+def _first_primitive_character(q: int) -> DirichletCharacter:
+    """The first primitive character mod q in index order: index 1 at every prime."""
+    if q % 2 == 0:
+        raise IndexOutOfRange(f"even modulus {q} has no primitive character")
+    m = factor_squarefree(q)
+    return crt_character(m, (1,) * len(m.primes))
+
+
 def _mean_value_campaign(cfg: CampaignConfig, kind: str) -> VerificationReport:
     r = cfg.r if cfg.r is not None else 2
     d = cfg.d
@@ -770,7 +780,7 @@ def _mean_value_campaign(cfg: CampaignConfig, kind: str) -> VerificationReport:
 
         def evaluate(inst):
             q, V = inst["q"], inst["V"]
-            chi = enumerate_primitive_characters(factor_squarefree(q))[0]
+            chi = _first_primitive_character(q)
             p = VinogradovParams(r, d, V)
             w = exact_W_squarefree(chi, None, p, budget=cfg.budget)
             j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
@@ -794,7 +804,7 @@ def _mean_value_campaign(cfg: CampaignConfig, kind: str) -> VerificationReport:
 
         def evaluate(inst):
             q, V = inst["q"], inst["V"]
-            chi = enumerate_primitive_characters(factor_squarefree(q))[0]
+            chi = _first_primitive_character(q)
             p = VinogradovParams(r, d, V)
             w = exact_W_squarefree(chi, None, p, budget=cfg.budget)
             j = get_j_count(r - s - 1, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
@@ -824,15 +834,15 @@ def _mean_value_campaign(cfg: CampaignConfig, kind: str) -> VerificationReport:
         notes = _theorem_notes(["lambda ranges over the whole field, so the "
                                 "value is basis-independent; fields are built "
                                 "on the default power basis"])
-        for q, n in LEMMA6_FIELDS:
-            if q**n > cfg.field_max:
-                continue
+        fields = {(q, n): build_field(q, n) for q, n in LEMMA6_FIELDS
+                  if q**n <= cfg.field_max}
+        for q, n in fields:
             for V in v_sweep:
                 instances.append({"q": q, "n": n, "V": V})
 
         def evaluate(inst):
             q, n, V = inst["q"], inst["n"], inst["V"]
-            spec = build_field(q, n)
+            spec = fields[(q, n)]
             chi = FieldCharacter(spec, 1)
             p = VinogradovParams(r, d, V)
             w = exact_W_field(chi, None, p, budget=cfg.budget)

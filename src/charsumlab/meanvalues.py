@@ -3,15 +3,18 @@
 J(r, d, V) counts 2r-tuples in [1, V] whose halves share all power sums
 up to degree d.  The double mean value W (an integral over the phase
 coefficients of the 2r-th moment of a short character sum) is never
-integrated numerically on the main path: expanding the power and using
-orthogonality of e^(2 pi i alpha k) collapses the integral onto the
-Vinogradov solution set, so W is an exact finite sum of complete
-character sums.  A Riemann-sum reference exists for d = 1 as an
-independent oracle.
+integrated numerically on the main path.  The r-th power of the short
+sum is a trigonometric polynomial whose frequencies are the power-sum
+keys of r-multisets of [1, V]; orthogonality of e^(2 pi i alpha k)
+turns the integral into its Gram form, one squared modulus per
+(lambda, key), so W is an exact, nonnegative finite sum.  Two oracles
+stay for the tests: the solution-set expansion into complete character
+sums, and a Riemann-sum reference for d = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,9 +31,6 @@ from .sums import (TupleSpec, complete_rational_char_sum,
 
 DEFAULT_TUPLE_BUDGET = 10**9
 DEFAULT_SOLUTION_BUDGET = 10**7
-
-_REAL_PART_RTOL = 1e-9
-_REAL_PART_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,9 @@ def split_solutions(p: VinogradovParams, budget: int = DEFAULT_SOLUTION_BUDGET):
 # ----------------------------------------------------------------------
 # exact double mean values
 
+_GRAM_BLOCK = 1 << 18  # lambda rows x multisets per chunk
+
+
 def _check_weights(beta, V: int, allow_large: bool) -> np.ndarray:
     if beta is None:
         return np.ones(V, dtype=np.complex128)
@@ -173,79 +176,104 @@ def _check_weights(beta, V: int, allow_large: bool) -> np.ndarray:
     return beta
 
 
-def _weighted_expansion(p: VinogradovParams, beta, complete_sum_fn, budget,
-                        allow_large_weights=False) -> float:
-    """Sum the expansion over canonical (sorted-half) pairs.
+def _value_matrix(chi, V: int) -> np.ndarray:
+    """T[lambda, v] = chi(lambda + v) over the full lambda range."""
+    if isinstance(chi, FieldCharacter):
+        spec = chi.spec
+        encs = np.arange(spec.size, dtype=np.int64)
+        cols = [chi.value_many(spec.add_scalar_many(encs, v % spec.q))
+                for v in range(1, V + 1)]
+        return np.stack(cols, axis=-1)
+    if isinstance(chi, DirichletCharacter):
+        lam = np.arange(1, chi.q + 1, dtype=np.int64)
+        return np.stack([chi.value_many(lam + v) for v in range(1, V + 1)], axis=-1)
+    mats = [_value_matrix(c, V) for c in chi]
+    T = mats[0]
+    for m in mats[1:]:
+        T = (T[:, None, :] * m[None, :, :]).reshape(-1, V)
+    return T
 
-    Both the weight product and the complete sum are invariant under
-    permuting entries within a half, so each canonical pair is evaluated
-    once and weighted by its multiplicity.
+
+@functools.lru_cache(maxsize=32)
+def _multiset_table(p: VinogradovParams):
+    """Size-r multisets of [1, V] sorted by power-sum key.
+
+    Returns (cols, mult, starts, J): 0-based entries (one row per
+    multiset), the number r!/prod(count!) of ordered tuples behind each
+    multiset, the first row of every key group, and
+    J(r, d, V) = sum over keys of (ordered tuples with that key)^2.
+    """
+    _check_power_sum_range(p)
+    ms = np.asarray(list(itertools.combinations_with_replacement(range(1, p.V + 1), p.r)),
+                    dtype=np.int64)
+    keys = np.stack([(ms**i).sum(axis=1) for i in range(1, p.d + 1)], axis=-1)
+    order = np.lexsort(keys.T[::-1])
+    ms, keys = ms[order], keys[order]
+    # prod(count!) of a sorted row is the product of its running repeat counts
+    runs = np.ones_like(ms)
+    for j in range(1, p.r):
+        runs[:, j] = np.where(ms[:, j] == ms[:, j - 1], runs[:, j - 1] + 1, 1)
+    mult = math.factorial(p.r) // runs.prod(axis=1)
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    per_key = np.add.reduceat(mult, starts).astype(object)
+    j_count = int((per_key**2).sum())
+    cols, mult = ms - 1, mult.astype(np.float64)
+    for arr in (cols, mult, starts):
+        arr.setflags(write=False)  # shared by every call with this (r, d, V)
+    return cols, mult, starts, j_count
+
+
+def _gram_W(chi, beta, p: VinogradovParams, budget: int,
+            allow_large_weights: bool) -> float:
+    """W as a sum of squares over (lambda, power-sum key).
+
+    Orthogonality of e(alpha . k) leaves, for each lambda and key, the
+    squared modulus of sum over the key's multisets m of
+    mult(m) * prod_{v in m} beta_v chi(lambda + v).
     """
     beta = _check_weights(beta, p.V, allow_large_weights)
-    groups = _solution_groups(p)
-    total_solutions = sum(len(halves) ** 2 for halves in groups.values())
-    if total_solutions > budget:
-        raise BudgetExceeded(f"J = {total_solutions} solutions exceed budget {budget}")
-    terms = []
-    for key in sorted(groups):
-        tally: dict[tuple[int, ...], int] = {}
-        for half in groups[key]:
-            canon = tuple(sorted(half))
-            tally[canon] = tally.get(canon, 0) + 1
-        items = sorted(tally.items())
-        weights = []
-        for canon, count in items:
-            w = 1.0 + 0j
-            for v in canon:
-                w *= beta[v - 1]
-            weights.append(count * w)
-        for (left, _), wl in zip(items, weights):
-            for (right, _), wr in zip(items, weights):
-                csum = complete_sum_fn(TupleSpec(r=p.r, v=left + right))
-                terms.append(wl * np.conjugate(wr) * csum)
-    total = pairwise_sum(np.asarray(terms, dtype=np.complex128))
-    if abs(total.imag) > _REAL_PART_RTOL * abs(total.real) + _REAL_PART_ATOL:
-        raise ArithmeticError(f"mean value has imaginary residue {total.imag}")
-    return float(total.real)
+    cols, mult, starts, j_count = _multiset_table(p)
+    if j_count > budget:
+        raise BudgetExceeded(f"J = {j_count} solutions exceed budget {budget}")
+    T = _value_matrix(chi, p.V) * beta[None, :]
+    rows = max(1, _GRAM_BLOCK // len(mult))
+    partials = []
+    for lo in range(0, T.shape[0], rows):
+        block = T[lo:lo + rows]
+        prod = block[:, cols[:, 0]] * mult
+        for j in range(1, p.r):
+            prod *= block[:, cols[:, j]]
+        S = np.add.reduceat(prod, starts, axis=1)
+        partials.append((S.real**2 + S.imag**2).sum())
+    return float(pairwise_sum(np.asarray(partials)).real)
 
 
 def exact_W_squarefree(chi: DirichletCharacter, beta, p: VinogradovParams,
                        budget: int = DEFAULT_SOLUTION_BUDGET,
                        allow_large_weights: bool = False) -> float:
-    """The double mean value W, exactly, via the solution-set expansion."""
-    return _weighted_expansion(
-        p, beta, lambda t: complete_rational_char_sum(chi, t), budget,
-        allow_large_weights)
+    """The double mean value W, exactly, in Gram form."""
+    return _gram_W(chi, beta, p, budget, allow_large_weights)
 
 
 def exact_W_multichar(chi_list: Sequence[DirichletCharacter], beta,
                       p: VinogradovParams,
                       budget: int = DEFAULT_SOLUTION_BUDGET,
                       allow_large_weights: bool = False) -> float:
-    """Multidimensional W: the per-solution factor is a product of
-    complete sums, one per prime modulus."""
+    """Multidimensional W: lambda ranges over the product of the prime
+    moduli and the character value is the product over them."""
     for chi in chi_list:
         if chi.modulus.num_prime_factors != 1:
             raise ValueError("each character must have a prime modulus")
         if p.V > chi.q:
             raise RangeViolation(f"V = {p.V} exceeds q_i = {chi.q}")
-
-    def product_sum(t: TupleSpec) -> complex:
-        out = 1.0 + 0j
-        for chi in chi_list:
-            out *= complete_rational_char_sum(chi, t)
-        return out
-
-    return _weighted_expansion(p, beta, product_sum, budget, allow_large_weights)
+    return _gram_W(list(chi_list), beta, p, budget, allow_large_weights)
 
 
 def exact_W_field(chi: FieldCharacter, beta, p: VinogradovParams,
                   budget: int = DEFAULT_SOLUTION_BUDGET,
                   allow_large_weights: bool = False) -> float:
     """Field version of W, with lambda ranging over GF(q^n)."""
-    return _weighted_expansion(
-        p, beta, lambda t: complete_rational_char_sum_field(chi, t), budget,
-        allow_large_weights)
+    return _gram_W(chi, beta, p, budget, allow_large_weights)
 
 
 def lemma_rhs(kind: str, *, q: float, V: int, r: int, d: int | None = None,
@@ -271,25 +299,7 @@ def lemma_rhs(kind: str, *, q: float, V: int, r: int, d: int | None = None,
 
 
 # ----------------------------------------------------------------------
-# quadrature reference (d = 1 only)
-
-def _value_matrix(chi, V: int) -> np.ndarray:
-    """T[lambda, v] = chi(lambda + v) over the full lambda range."""
-    if isinstance(chi, FieldCharacter):
-        spec = chi.spec
-        encs = np.arange(spec.size, dtype=np.int64)
-        cols = [chi.value_many(spec.add_scalar_many(encs, v % spec.q))
-                for v in range(1, V + 1)]
-        return np.stack(cols, axis=-1)
-    if isinstance(chi, DirichletCharacter):
-        lam = np.arange(1, chi.q + 1, dtype=np.int64)
-        return np.stack([chi.value_many(lam + v) for v in range(1, V + 1)], axis=-1)
-    mats = [_value_matrix(c, V) for c in chi]
-    T = mats[0]
-    for m in mats[1:]:
-        T = (T[:, None, :] * m[None, :, :]).reshape(-1, V)
-    return T
-
+# test oracles
 
 def quadrature_W_reference(chi, beta, p: VinogradovParams, grid: int = 2**14,
                            allow_large_weights: bool = False) -> float:
@@ -314,3 +324,40 @@ def quadrature_W_reference(chi, beta, p: VinogradovParams, grid: int = 2**14,
         S = T @ phases
         total += float((np.abs(S) ** (2 * p.r)).sum())
     return total / grid
+
+
+def expansion_W_reference(chi, beta, p: VinogradovParams,
+                          budget: int = DEFAULT_SOLUTION_BUDGET,
+                          allow_large_weights: bool = False) -> float:
+    """W by the solution-set expansion: one complete sum per pair of
+    canonical (sorted) halves with equal power-sum keys, weighted by the
+    pair's multiplicity.  `chi` is a Dirichlet character, a list of
+    prime-modulus characters, or a field character."""
+    if isinstance(chi, FieldCharacter):
+        def complete_sum(t):
+            return complete_rational_char_sum_field(chi, t)
+    elif isinstance(chi, DirichletCharacter):
+        def complete_sum(t):
+            return complete_rational_char_sum(chi, t)
+    else:
+        def complete_sum(t):
+            return math.prod(complete_rational_char_sum(c, t) for c in chi)
+    beta = _check_weights(beta, p.V, allow_large_weights)
+    groups = _solution_groups(p)
+    total_solutions = sum(len(halves) ** 2 for halves in groups.values())
+    if total_solutions > budget:
+        raise BudgetExceeded(f"J = {total_solutions} solutions exceed budget {budget}")
+    terms = []
+    for key in sorted(groups):
+        tally: dict[tuple[int, ...], int] = {}
+        for half in groups[key]:
+            canon = tuple(sorted(half))
+            tally[canon] = tally.get(canon, 0) + 1
+        items = sorted(tally.items())
+        weights = [count * math.prod(beta[v - 1] for v in canon)
+                   for canon, count in items]
+        for (left, _), wl in zip(items, weights):
+            for (right, _), wr in zip(items, weights):
+                csum = complete_sum(TupleSpec(r=p.r, v=left + right))
+                terms.append(wl * np.conjugate(wr) * csum)
+    return float(pairwise_sum(np.asarray(terms, dtype=np.complex128)).real)

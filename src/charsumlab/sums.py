@@ -242,12 +242,15 @@ def linear_forms_mixed_sum(chi: DirichletCharacter, L: LinearSystem,
         raise HypothesisViolated(f"H = {H} exceeds q = {q}")
     grids = np.meshgrid(*([np.arange(1, H + 1, dtype=np.int64)] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    mat = np.asarray(L.matrix, dtype=np.int64) % q
-    forms = (pts @ mat.T) % q
-    prods = np.ones(len(pts), dtype=np.int64)
+    # residue products reach q^2 and forms reach n*H*q: past int64, use exact ints
+    exact = q * q >= 1 << 63 or n * H * q >= 1 << 63
+    dtype = object if exact else np.int64
+    mat = np.asarray([[c % q for c in row] for row in L.matrix], dtype=dtype)
+    forms = (pts.astype(dtype) @ mat.T) % q
+    prods = np.ones(len(pts), dtype=dtype)
     for i in range(n):
         prods = (prods * forms[:, i]) % q
-    values = chi.value_many(prods)
+    values = chi.value_many(prods.astype(np.int64))
     phases = _phase_array(F, [tuple(map(int, row)) for row in pts])
     return pairwise_sum(values * phases)
 

@@ -1,12 +1,17 @@
 import itertools
+import json
 import math
 
 import pytest
 
-from charsumlab.campaigns import (CampaignConfig, chang_epsilon,
-                                  compare_exponents, phi_factor, run_campaign,
-                                  sample_phase_poly, theorem_exponent)
-from charsumlab.errors import DegenerateDenominator, HypothesisViolated
+from charsumlab.campaigns import (CampaignConfig, _first_primitive_character,
+                                  chang_epsilon, compare_exponents, phi_factor,
+                                  run_campaign, sample_phase_poly,
+                                  theorem_exponent)
+from charsumlab.characters import enumerate_primitive_characters
+from charsumlab.errors import (DegenerateDenominator, HypothesisViolated,
+                               IndexOutOfRange)
+from charsumlab.modular import factor_squarefree
 from charsumlab.rng import SplitMix64, point_hash
 
 
@@ -195,8 +200,18 @@ def test_point_hash_is_stable():
 
 
 def test_report_emission_from_campaign(tmp_path):
-    out = tmp_path / "r.json"
-    csv = tmp_path / "r.csv"
-    rep = run("lemma7", seed=0, out=str(out), csv=str(csv))
-    assert out.read_bytes() == rep.to_json_bytes()
-    assert csv.read_text().count("\n") == len(rep.records) + 1
+    for target, kw in [("lemma7", {}), ("weil", dict(q_max=13))]:
+        out = tmp_path / f"{target}.json"
+        csv = tmp_path / f"{target}.csv"
+        rep = run(target, seed=0, out=str(out), csv=str(csv), **kw)
+        assert out.read_bytes() == rep.to_json_bytes(), target
+        assert csv.read_text().count("\n") == len(rep.records) + 1
+    assert "total_violations" in json.loads(out.read_bytes())["aggregate"]
+
+
+def test_lemma3_character_is_first_primitive():
+    for q in (11, 15, 105):
+        first = enumerate_primitive_characters(factor_squarefree(q))[0]
+        assert _first_primitive_character(q).indices == first.indices
+    with pytest.raises(IndexOutOfRange):
+        _first_primitive_character(30)

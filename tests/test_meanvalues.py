@@ -4,10 +4,10 @@ import pytest
 
 from charsumlab import (FieldCharacter, VinogradovParams, build_field,
                         crt_character, exact_W_field, exact_W_multichar,
-                        exact_W_squarefree, factor_squarefree,
-                        iterate_solutions, lemma_rhs, quadrature_W_reference,
-                        split_solutions, vinogradov_count_mitm,
-                        vinogradov_count_naive)
+                        exact_W_squarefree, expansion_W_reference,
+                        factor_squarefree, iterate_solutions, lemma_rhs,
+                        quadrature_W_reference, split_solutions,
+                        vinogradov_count_mitm, vinogradov_count_naive)
 from charsumlab.errors import (BudgetExceeded, MissingCount, RangeViolation,
                                UnsupportedDegree)
 from charsumlab.meanvalues import has_many_distinct, power_sum_key
@@ -113,6 +113,43 @@ def test_exact_w_matches_quadrature():
     w = exact_W_squarefree(chi21, None, P(2, 1, 3))
     ref = quadrature_W_reference(chi21, None, P(2, 1, 3), grid=2**10)
     assert w == pytest.approx(ref, rel=1e-3)
+
+
+GRAM_SHAPES = [(1, 1, 3), (2, 1, 3), (2, 2, 4), (2, 3, 3), (3, 2, 3),
+               (3, 3, 3), (4, 1, 3), (4, 2, 2)]
+
+
+def test_gram_w_matches_expansion():
+    chis = [crt_character(factor_squarefree(7), (2,)),
+            crt_character(factor_squarefree(15), (1, 1)),
+            crt_character(factor_squarefree(35), (1, 4)),
+            [crt_character(factor_squarefree(5), (1,)),
+             crt_character(factor_squarefree(7), (2,))],
+            FieldCharacter(build_field(3, 2), 1),
+            FieldCharacter(build_field(2, 3), 3)]
+    W_of = {list: exact_W_multichar, FieldCharacter: exact_W_field}
+    for chi in chis:
+        exact_W = W_of.get(type(chi), exact_W_squarefree)
+        for r, d, V in GRAM_SHAPES:
+            p = P(r, d, V)
+            weights = [None, [0.9 * (-1) ** v + 0.3j * v / V for v in range(1, V + 1)]]
+            for beta in weights:
+                w = exact_W(chi, beta, p)
+                ref = expansion_W_reference(chi, beta, p)
+                assert w >= 0
+                assert w == pytest.approx(ref, rel=1e-12), (chi, r, d, V, beta)
+
+
+def test_gram_w_budget_fires_at_j():
+    chi = crt_character(factor_squarefree(7), (2,))
+    for r, d, V in GRAM_SHAPES:
+        p = P(r, d, V)
+        j = vinogradov_count_mitm(p)
+        exact_W_squarefree(chi, None, p, budget=j)
+        with pytest.raises(BudgetExceeded):
+            exact_W_squarefree(chi, None, p, budget=j - 1)
+        with pytest.raises(BudgetExceeded):
+            expansion_W_reference(chi, None, p, budget=j - 1)
 
 
 def test_exact_w_weighted():

@@ -150,6 +150,20 @@ def test_linear_forms_sum():
     assert abs(got3 - brute) < 1e-10
 
 
+def test_linear_forms_wide_modulus_exact():
+    # q^2 > 2^63: residue products no longer fit int64
+    q = 65537 * 65539
+    chi = chi_mod(q, (3, 5))
+    L = LinearSystem(((q // 2, 1), (q // 3, 5)))
+    F = RealPolynomial.from_terms(2, {(1, 0): 0.25, (0, 2): 0.125})
+    got = linear_forms_mixed_sum(chi, L, F, 60)
+    ref = 0j
+    for h in itertools.product(range(1, 61), repeat=2):
+        prod = math.prod(sum(c * x for c, x in zip(row, h)) for row in L.matrix)
+        ref += chi.value(prod % q) * eval_phase(F, h)
+    assert abs(got - ref) < 1e-9
+
+
 def test_linear_forms_singular():
     chi = chi_mod(7, (1,))
     bad = LinearSystem(((1, 1), (2, 2)))
