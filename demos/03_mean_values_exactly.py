@@ -14,12 +14,12 @@ from charsumlab import (VinogradovParams, crt_character,
                         factor_squarefree, lemma_rhs, quadrature_W_reference,
                         vinogradov_count_mitm, vinogradov_count_naive)
 
-print("Vinogradov counts J(r, d, V): naive enumeration vs key hashing")
+print("Vinogradov counts J(r, d, V): naive enumeration vs r-multisets grouped by key")
 for (r, d, V) in [(2, 1, 3), (2, 2, 3), (2, 2, 10), (3, 2, 6)]:
     p = VinogradovParams(r, d, V)
     naive = vinogradov_count_naive(p)
     mitm = vinogradov_count_mitm(p)
-    print(f"  J({r},{d},{V}) = {naive} (naive) = {mitm} (hashed);"
+    print(f"  J({r},{d},{V}) = {naive} (naive) = {mitm} (multisets);"
           f"  bounds V^r = {V**r}, V^2r = {V**(2*r)}")
 
 q = 35

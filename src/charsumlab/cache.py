@@ -4,13 +4,18 @@ Binary format: magic b"CSLJ", then version as u32 little-endian, then a
 sequence of length-prefixed entries.  Each entry is its byte length as
 u32 (always 20), the key triple (r, d, V) as three u32, and the count as
 u64, all little-endian.  The cache directory comes from CSL_CACHE_DIR,
-falling back to the per-user cache directory.
+falling back to the per-user cache directory.  Writes go to a temporary
+file in the same directory that then replaces the cache atomically, and
+the read-modify-write of `get_j_count` runs under a process-wide lock, so
+threads sharing one cache never see a half-written file.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import tempfile
+import threading
 from pathlib import Path
 
 from .errors import CacheVersionMismatch, OutOfRange
@@ -22,6 +27,8 @@ _ENTRY = struct.Struct("<IIIQ")  # r, d, V, count
 _HEADER = struct.Struct("<4sI")
 
 ENV_VAR = "CSL_CACHE_DIR"
+
+_LOCK = threading.Lock()  # serializes get_j_count's read-modify-write
 
 
 def cache_dir() -> Path:
@@ -74,22 +81,29 @@ def write_jcounts(entries: dict[tuple[int, int, int], int], path=None) -> Path:
             raise OutOfRange(f"count for {(r, d, V)} does not fit in u64")
         parts.append(struct.pack("<I", _ENTRY.size))
         parts.append(_ENTRY.pack(r, d, V, count))
-    path.write_bytes(b"".join(parts))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def get_j_count(r: int, d: int, V: int, budget: int = 10**9,
                 use_cache: bool = True, path=None) -> int:
     """Vinogradov count, consulting and updating the cache."""
-    key = (r, d, V)
-    entries = read_jcounts(path) if use_cache else {}
-    if key in entries:
-        return entries[key]
-    count = vinogradov_count_mitm(VinogradovParams(r, d, V), budget=budget)
-    if use_cache:
-        entries[key] = count
-        write_jcounts(entries, path)
-    return count
+    p = VinogradovParams(r, d, V)
+    if not use_cache:
+        return vinogradov_count_mitm(p, budget=budget)
+    with _LOCK:
+        entries = read_jcounts(path)
+        if (r, d, V) not in entries:
+            entries[(r, d, V)] = vinogradov_count_mitm(p, budget=budget)
+            write_jcounts(entries, path)
+        return entries[(r, d, V)]
 
 
 def cache_ls(path=None) -> list[tuple[tuple[int, int, int], int]]:

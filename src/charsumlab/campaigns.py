@@ -400,6 +400,9 @@ def _theorem_campaign(cfg: CampaignConfig, which: str) -> VerificationReport:
         rng = SplitMix64(cfg.seed)
         n = cfg.n_dims
         primes = [p for p in _primes_upto(cfg.q_max) if p >= 11]
+        if len(primes) < 2:
+            raise HypothesisViolated(
+                f"thm4 needs two primes >= 11 up to q_max = {cfg.q_max}")
         instances = []
         for _ in range(cfg.samples):
             i = rng.next_below(len(primes) - 1)

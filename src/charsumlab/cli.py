@@ -250,7 +250,7 @@ def main(argv=None) -> int:
             return _cmd_compare(args)
         if args.command == "cache":
             return _cmd_cache(args)
-    except CharSumLabError as exc:
+    except (CharSumLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")  # pragma: no cover

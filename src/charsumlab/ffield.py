@@ -430,23 +430,16 @@ def _fill_tables(spec: FieldSpec):
     exp = spec.exp
     dlog = spec.dlog
 
-    # first block of powers sequentially, then whole blocks at once:
-    # g^(pos + j) = g^j * g^pos
-    block = min(4096, size - 1)
-    cur = (1,) + (0,) * (spec.n - 1)
-    for k in range(block):
-        exp[k] = spec.encode(cur)
-        cur = spec.mul_coeffs(cur, g)
-    step = cur  # g^block
-    pos = block
-    gp = step
+    # doubling, then whole blocks: g^(pos + j) = g^j * g^pos for j < count,
+    # with count = min(pos, 4096) so no vectorized call exceeds 4096 products
+    exp[0] = spec.one().encoding
+    pos = 1
     while pos < size - 1:
-        count = min(block, size - 1 - pos)
-        gp_enc = np.full(count, spec.encode(gp), dtype=np.int64)
-        exp[pos:pos + count] = spec.mul_many(exp[:count], gp_enc)
+        count = min(pos, 4096, size - 1 - pos)
+        gp = spec.mul_coeffs(spec.decode(int(exp[pos - 1])), g)
+        exp[pos:pos + count] = spec.mul_many(
+            exp[:count], np.full(count, spec.encode(gp), dtype=np.int64))
         pos += count
-        if pos < size - 1:
-            gp = spec.mul_coeffs(gp, step)
 
     dlog[exp] = np.arange(size - 1, dtype=np.int64)
     if dlog[1] != 0 or int((dlog < 0).sum()) != 1:  # pragma: no cover

@@ -1,15 +1,18 @@
 """Vinogradov system counts and exact double mean values.
 
 J(r, d, V) counts 2r-tuples in [1, V] whose halves share all power sums
-up to degree d.  The double mean value W (an integral over the phase
-coefficients of the 2r-th moment of a short character sum) is never
-integrated numerically on the main path.  The r-th power of the short
-sum is a trigonometric polynomial whose frequencies are the power-sum
-keys of r-multisets of [1, V]; orthogonality of e^(2 pi i alpha k)
-turns the integral into its Gram form, one squared modulus per
-(lambda, key), so W is an exact, nonnegative finite sum.  Two oracles
-stay for the tests: the solution-set expansion into complete character
-sums, and a Riemann-sum reference for d = 1.
+up to degree d.  One table of the r-multisets of [1, V], grouped by
+power-sum key, serves both J and W: J is the sum over keys of the
+squared number of ordered r-tuples behind the key.  The double mean
+value W (an integral over the phase coefficients of the 2r-th moment of
+a short character sum) is never integrated numerically on the main
+path.  The r-th power of the short sum is a trigonometric polynomial
+whose frequencies are the power-sum keys of r-multisets of [1, V];
+orthogonality of e^(2 pi i alpha k) turns the integral into its Gram
+form, one squared modulus per (lambda, key), so W is an exact,
+nonnegative finite sum.  Independent oracles stay beside the table: the
+full 2r-fold count of J, the solution-set expansion of W into complete
+character sums, and a Riemann-sum reference for d = 1.
 """
 
 from __future__ import annotations
@@ -93,23 +96,56 @@ def _check_power_sum_range(p: VinogradovParams):
             f"power sums up to {p.r} * {p.V}^{p.d} leave the 64-bit range")
 
 
-def _half_power_sums(p: VinogradovParams) -> np.ndarray:
-    """(V^r, d) matrix of power-sum keys over all r-tuples, lexicographic."""
-    r, d, V = p.r, p.d, p.V
+def _multisets(V: int, r: int) -> np.ndarray:
+    """Size-r multisets of [1, V] as sorted rows, in lexicographic order
+    (the order of itertools.combinations_with_replacement)."""
+    ms = np.arange(1, V + 1, dtype=np.int64)[:, None]
+    for _ in range(1, r):
+        # each row extends by every value from its last entry up to V
+        last = ms[:, -1]
+        reps = V + 1 - last
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        nxt = np.repeat(last, reps) + np.arange(len(first)) - first
+        ms = np.column_stack([np.repeat(ms, reps, axis=0), nxt])
+    return ms
+
+
+@functools.lru_cache(maxsize=32)
+def _multiset_table(p: VinogradovParams):
+    """Size-r multisets of [1, V] sorted by power-sum key: the one place
+    where r-tuples are grouped by key, shared by J and by the Gram-form W.
+
+    Returns (cols, mult, starts, J): 0-based entries (one row per
+    multiset), the number r!/prod(count!) of ordered tuples behind each
+    multiset, the first row of every key group, and
+    J(r, d, V) = sum over keys of (ordered tuples with that key)^2.
+    """
     _check_power_sum_range(p)
-    grids = np.meshgrid(*([np.arange(1, V + 1, dtype=np.int64)] * r), indexing="ij")
-    stacked = np.stack([g.ravel() for g in grids], axis=-1)
-    return np.stack([(stacked**i).sum(axis=1) for i in range(1, d + 1)], axis=-1)
+    ms = _multisets(p.V, p.r)
+    keys = np.stack([(ms**i).sum(axis=1) for i in range(1, p.d + 1)], axis=-1)
+    order = np.lexsort(keys.T[::-1])
+    ms, keys = ms[order], keys[order]
+    # prod(count!) of a sorted row is the product of its running repeat counts
+    runs = np.ones_like(ms)
+    for j in range(1, p.r):
+        runs[:, j] = np.where(ms[:, j] == ms[:, j - 1], runs[:, j - 1] + 1, 1)
+    mult = math.factorial(p.r) // runs.prod(axis=1)
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    per_key = np.add.reduceat(mult, starts).astype(object)
+    j_count = int((per_key**2).sum())
+    cols, mult = ms - 1, mult.astype(np.float64)
+    for arr in (cols, mult, starts):
+        arr.setflags(write=False)  # shared by every call with this (r, d, V)
+    return cols, mult, starts, j_count
 
 
 def vinogradov_count_mitm(p: VinogradovParams, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """J(r, d, V) as sum of squared multiplicities of half power-sum keys."""
-    r, d, V = p.r, p.d, p.V
+    """J(r, d, V) as the sum over power-sum keys of the squared number of
+    ordered r-tuples with that key, read off the r-multiset table."""
+    r, V = p.r, p.V
     if r * V**r > budget:
         raise BudgetExceeded(f"r * V^r = {r * V ** r} exceeds budget {budget}")
-    keys = _half_power_sums(p)
-    _, counts = np.unique(keys, axis=0, return_counts=True)
-    return int((counts.astype(object) ** 2).sum())
+    return _multiset_table(p)[3]
 
 
 def power_sum_key(half: Sequence[int], d: int) -> PowerSumKey:
@@ -192,35 +228,6 @@ def _value_matrix(chi, V: int) -> np.ndarray:
     for m in mats[1:]:
         T = (T[:, None, :] * m[None, :, :]).reshape(-1, V)
     return T
-
-
-@functools.lru_cache(maxsize=32)
-def _multiset_table(p: VinogradovParams):
-    """Size-r multisets of [1, V] sorted by power-sum key.
-
-    Returns (cols, mult, starts, J): 0-based entries (one row per
-    multiset), the number r!/prod(count!) of ordered tuples behind each
-    multiset, the first row of every key group, and
-    J(r, d, V) = sum over keys of (ordered tuples with that key)^2.
-    """
-    _check_power_sum_range(p)
-    ms = np.asarray(list(itertools.combinations_with_replacement(range(1, p.V + 1), p.r)),
-                    dtype=np.int64)
-    keys = np.stack([(ms**i).sum(axis=1) for i in range(1, p.d + 1)], axis=-1)
-    order = np.lexsort(keys.T[::-1])
-    ms, keys = ms[order], keys[order]
-    # prod(count!) of a sorted row is the product of its running repeat counts
-    runs = np.ones_like(ms)
-    for j in range(1, p.r):
-        runs[:, j] = np.where(ms[:, j] == ms[:, j - 1], runs[:, j - 1] + 1, 1)
-    mult = math.factorial(p.r) // runs.prod(axis=1)
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-    per_key = np.add.reduceat(mult, starts).astype(object)
-    j_count = int((per_key**2).sum())
-    cols, mult = ms - 1, mult.astype(np.float64)
-    for arr in (cols, mult, starts):
-        arr.setflags(write=False)  # shared by every call with this (r, d, V)
-    return cols, mult, starts, j_count
 
 
 def _gram_W(chi, beta, p: VinogradovParams, budget: int,

@@ -123,3 +123,27 @@ def test_compare_exponents_cli(capsys):
                  "--d", "2", "--r", "3"])
     capsys.readouterr()
     assert code == 2  # r = D pole
+
+
+def test_verify_threads_share_fresh_j_cache(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("CSL_CACHE_DIR", str(tmp_path / "fresh"))
+    code = main(["verify", "lemma3", "--threads", "4", "--use-cache"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    code, out = run_cli(capsys, "cache", "ls")
+    assert json.loads(out)["entries"]
+
+
+def test_thm4_rejects_q_max_with_one_prime(capsys):
+    code = main(["verify", "thm4", "--r-d", "5", "--q-max", "12"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stray_value_error_exits_2(capsys):
+    # VinogradovParams rejects V = 0 with a plain ValueError
+    code = main(["jcount", "--r", "2", "--d", "2", "--V", "0", "--no-cache"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

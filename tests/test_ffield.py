@@ -74,6 +74,20 @@ def test_mul_many_matches_scalar():
         assert int(prods[i]) == expected
 
 
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (7, 3), (3, 4), (4099, 1), (5, 6)])
+def test_exp_table_matches_scalar_recurrence(q, n):
+    # 7^3 - 1 = 342 and 3^4 - 1 = 80 end the doubling on a partial block;
+    # 4099 - 1 and 5^6 - 1 go past one block of 4096 and end on a partial one
+    f = build_field(q, n)
+    g = f.decode(f.generator_encoding)
+    cur = f.one().coeffs
+    for k in range(f.size - 1):
+        assert int(f.exp[k]) == f.encode(cur), k
+        cur = f.mul_coeffs(cur, g)
+    assert cur == f.one().coeffs
+
+
 def test_trace_examples():
     f4 = build_field(2, 2)
     assert trace(f4, f4.element((0, 1))) == 1

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from charsumlab import (FieldCharacter, VinogradovParams, build_field,
@@ -10,7 +11,8 @@ from charsumlab import (FieldCharacter, VinogradovParams, build_field,
                         vinogradov_count_mitm, vinogradov_count_naive)
 from charsumlab.errors import (BudgetExceeded, MissingCount, RangeViolation,
                                UnsupportedDegree)
-from charsumlab.meanvalues import has_many_distinct, power_sum_key
+from charsumlab.meanvalues import (_multiset_table, _multisets,
+                                   has_many_distinct, power_sum_key)
 
 P = VinogradovParams
 
@@ -45,11 +47,44 @@ def test_mitm_agrees_with_naive():
                         == vinogradov_count_naive(P(r, d, V)))
 
 
+def half_tuple_tally(r, d, V):
+    """J from all V^r ordered half-tuples: sum of squared key counts."""
+    grids = np.meshgrid(*([np.arange(1, V + 1, dtype=np.int64)] * r), indexing="ij")
+    halves = np.stack([g.ravel() for g in grids], axis=-1)
+    keys = np.stack([(halves**i).sum(axis=1) for i in range(1, d + 1)], axis=-1)
+    _, counts = np.unique(keys, axis=0, return_counts=True)
+    return int((counts.astype(object) ** 2).sum())
+
+
+def test_mitm_matches_half_tuple_tally():
+    # shapes past the reach of the 2r-fold naive count
+    for r, d, V in [(3, 3, 20), (4, 2, 12), (2, 4, 40), (5, 1, 7), (1, 3, 50)]:
+        assert vinogradov_count_mitm(P(r, d, V)) == half_tuple_tally(r, d, V)
+
+
 def test_count_budgets():
     with pytest.raises(BudgetExceeded):
         vinogradov_count_naive(P(3, 2, 40), budget=10**6)
     with pytest.raises(BudgetExceeded):
         vinogradov_count_mitm(P(3, 2, 200), budget=10**6)
+    # the mitm budget counts r * V^r tuple operations, inclusive
+    for r, d, V in [(1, 2, 9), (2, 2, 7), (3, 1, 5), (4, 2, 3)]:
+        edge = r * V**r
+        assert vinogradov_count_mitm(P(r, d, V), budget=edge) == half_tuple_tally(r, d, V)
+        with pytest.raises(BudgetExceeded):
+            vinogradov_count_mitm(P(r, d, V), budget=edge - 1)
+
+
+def test_multiset_rows_follow_itertools_order():
+    for r, d, V in [(1, 2, 6), (2, 2, 7), (3, 3, 9), (4, 1, 5), (5, 2, 4), (3, 2, 1)]:
+        ref = np.asarray(list(itertools.combinations_with_replacement(range(1, V + 1), r)),
+                         dtype=np.int64)
+        rows = _multisets(V, r)
+        assert rows.dtype == np.int64 and np.array_equal(rows, ref)
+        # the table is those rows stably sorted by power-sum key
+        keys = np.stack([(ref**i).sum(axis=1) for i in range(1, d + 1)], axis=-1)
+        cols = _multiset_table(P(r, d, V))[0]
+        assert np.array_equal(cols, ref[np.lexsort(keys.T[::-1])] - 1)
 
 
 def test_count_bounds_and_monotonicity():

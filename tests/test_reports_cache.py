@@ -1,10 +1,14 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 import pytest
 
 from charsumlab.cache import (cache_clear, cache_ls, get_j_count,
                               read_jcounts, write_jcounts)
 from charsumlab.errors import CacheVersionMismatch, OutOfRange
+from charsumlab.meanvalues import VinogradovParams, vinogradov_count_naive
 from charsumlab.reports import VerificationReport, emit_report
 
 
@@ -104,3 +108,25 @@ def test_cache_env_dir(tmp_path, monkeypatch):
     assert cache_clear() is True
     assert cache_ls() == []
     assert cache_clear() is False
+
+
+def test_get_j_count_threads_share_fresh_cache(tmp_path):
+    path = tmp_path / "jcounts.bin"
+    keys = [(r, d, V) for r in (1, 2) for d in (1, 2, 3) for V in range(2, 9)]
+    expected = {k: vinogradov_count_naive(VinogradovParams(*k)) for k in keys}
+    barrier = Barrier(8, timeout=60)
+
+    def worker(offset):
+        barrier.wait()
+        rotated = keys[offset:] + keys[:offset]
+        return [(k, get_j_count(*k, path=path)) for k in rotated]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(worker, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(count == expected[k] for res in results for k, count in res)
+    assert read_jcounts(path) == expected
