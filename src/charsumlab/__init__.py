@@ -10,9 +10,7 @@ constants.
 
 from .cache import cache_clear, cache_ls, get_j_count
 from .campaigns import (CampaignConfig, chang_epsilon, compare_exponents,
-                        phi_factor, run_campaign, theorem_exponent,
-                        verify_phi, verify_smoothing, verify_theorem,
-                        verify_weil)
+                        phi_factor, run_campaign, theorem_exponent)
 from .characters import (DirichletCharacter, PrimeCharacter,
                          build_prime_character, char_eval, crt_character,
                          enumerate_primitive_characters, find_primitive_root,

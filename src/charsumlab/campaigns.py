@@ -29,7 +29,7 @@ from .errors import (BudgetExceeded, DegenerateDenominator, HypothesisViolated,
 from .ffield import FieldCharacter, build_field
 from .meanvalues import (VinogradovParams, exact_W_field, exact_W_multichar,
                          exact_W_squarefree, lemma_rhs)
-from .modular import factor_squarefree, mod_inverse
+from .modular import factor_squarefree, mod_inverse, primes_upto
 from .reports import VerificationReport, emit_report
 from .rng import SplitMix64, point_hash
 from .sums import (LinearSystem, RealPolynomial, box_mixed_sum, eval_phase,
@@ -50,6 +50,8 @@ PHI_NOTE = ("phi_i is defined by the reciprocal-integral identity "
             "printed with an extra 2i factor elsewhere is not used")
 LEMMA9_NOTE = ("lemma9: the printed bound (NH)^n is read as (UH)^n, matching the "
                "box sides")
+EMPTY_NOTE = ("no instance was sampled under this config, so nothing was checked "
+              "and the campaign does not pass")
 
 
 # ----------------------------------------------------------------------
@@ -95,33 +97,16 @@ class CampaignConfig:
 # ----------------------------------------------------------------------
 # shared helpers
 
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return [int(i) for i in np.nonzero(sieve)[0]]
-
-
 def _odd_squarefree(lo: int, hi: int) -> list[int]:
-    out = []
+    """Odd squarefree q in [max(lo, 3), hi], in increasing order."""
     start = max(lo, 3)
-    if start % 2 == 0:
-        start += 1
-    for q in range(start, hi + 1, 2):
-        p = 3
-        ok = True
-        while p * p <= q:
-            if q % (p * p) == 0:
-                ok = False
-                break
-            p += 2
-        if ok:
-            out.append(q)
-    return out
+    if hi < start:
+        return []
+    keep = np.zeros(hi + 1, dtype=bool)
+    keep[3::2] = True
+    for p in primes_upto(math.isqrt(hi))[1:]:  # odd primes; even q are never kept
+        keep[p * p::p * p] = False
+    return [int(q) for q in np.flatnonzero(keep[start:]) + start]
 
 
 def _monomials(nvars: int, d: int) -> list[tuple[int, ...]]:
@@ -143,13 +128,6 @@ def sample_phase_poly(rng: SplitMix64, nvars: int, d: int) -> RealPolynomial:
 
 def _poly_payload(F: RealPolynomial) -> list:
     return [[list(e), c] for e, c in F.terms]
-
-
-def _run_instances(instances, evaluate, threads: int) -> list:
-    if threads <= 1:
-        return [evaluate(inst) for inst in instances]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate, instances))
 
 
 def _ratio_aggregate(records: list[dict]) -> dict:
@@ -182,6 +160,8 @@ def _finish(cfg: CampaignConfig, records, notes, extra_pass: bool = True,
     # an empty campaign proves nothing and must not read as a pass
     passed = (extra_pass and len(records) > 0
               and all(rec.get("sanity_ok", True) for rec in records))
+    if not records:
+        notes = [*notes, EMPTY_NOTE]
     threshold = _threshold_for(cfg)
     if threshold is not None and "max_ratio" in aggregate:
         aggregate["threshold"] = threshold
@@ -195,6 +175,18 @@ def _finish(cfg: CampaignConfig, records, notes, extra_pass: bool = True,
     if cfg.out:
         emit_report(report, cfg.out, cfg.csv)
     return report
+
+
+def _run_instances(instances, evaluate, threads: int) -> list:
+    if threads <= 1:
+        return [evaluate(inst) for inst in instances]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(evaluate, instances))
+
+
+def _run(cfg: CampaignConfig, instances, evaluate, notes) -> VerificationReport:
+    """Evaluate every instance, in order, and finish the report."""
+    return _finish(cfg, _run_instances(instances, evaluate, cfg.threads), notes)
 
 
 # ----------------------------------------------------------------------
@@ -284,198 +276,154 @@ def _theorem_notes(extra=()):
     return [RATIO_CONVENTION_NOTE, OSMALL_NOTE, *extra]
 
 
-def _thm1_instances(cfg: CampaignConfig, r: int):
+def _bound_record(lhs, nterms, q, exponent, r, d, /, **fields) -> dict:
+    """A theorem record: |sum| over nterms terms against nterms^(1-1/r) * q^exponent."""
+    rhs = nterms ** (1 - 1 / r) * q ** exponent
+    return {**fields, "r": r, "d": d, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+            "nterms": nterms, "sanity_ok": lhs <= nterms + 1e-9}
+
+
+def _squarefree_instances(cfg: CampaignConfig, which: str, r: int,
+                          max_factors: int | None = None) -> list[tuple]:
+    """(q, chi, F, M, N) for thm1/thm2: sampled odd squarefree moduli with at
+    most max_factors prime factors, each with chars_per_modulus primitive
+    characters and N = q^theta at the theorem's range cap."""
     rng = SplitMix64(cfg.seed)
-    moduli = [q for q in _odd_squarefree(cfg.q_min, cfg.q_max)]
+    moduli = _odd_squarefree(cfg.q_min, cfg.q_max)
+    if max_factors is not None:
+        moduli = [q for q in moduli if factor_squarefree(q).num_prime_factors <= max_factors]
     moduli = rng.sample_without_replacement(moduli, cfg.samples)
-    theta = range_cap_exponent("thm1", r, cfg.d)
+    theta = range_cap_exponent(which, r, cfg.d)
     out = []
     for q in moduli:
-        m = factor_squarefree(q)
-        chars = enumerate_primitive_characters(m)
-        chars = rng.sample_without_replacement(chars, cfg.chars_per_modulus)
-        for chi in chars:
+        chars = enumerate_primitive_characters(factor_squarefree(q))
+        for chi in rng.sample_without_replacement(chars, cfg.chars_per_modulus):
             F = sample_phase_poly(rng, 1, cfg.d)
             M = rng.next_below(q)
-            N = max(int(q**theta), 1)
-            out.append({"q": q, "chi": chi, "F": F, "M": M, "N": N})
+            out.append((q, chi, F, M, max(int(q**theta), 1)))
     return out
 
 
-def _theorem_campaign(cfg: CampaignConfig, which: str) -> VerificationReport:
-    d = cfg.d
-    if which == "thm1":
-        r = _require_r(cfg)
-        instances = _thm1_instances(cfg, r)
-        exponent = theorem_exponent("thm1", r, d)
+def _mixed_sum_record(inst: tuple, exponent: float, r: int, d: int, **fields) -> dict:
+    q, chi, F, M, N = inst
+    lhs = abs(mixed_sum(chi, F, M, N))
+    return _bound_record(lhs, N, q, exponent, r, d, q=q, char_indices=list(chi.indices),
+                         poly=_poly_payload(F), M=M, N=N, **fields)
 
-        def evaluate(inst):
-            chi, F = inst["chi"], inst["F"]
-            lhs = abs(mixed_sum(chi, F, inst["M"], inst["N"]))
-            rhs = inst["N"] ** (1 - 1 / r) * inst["q"] ** exponent
-            rec = {"q": inst["q"], "char_indices": list(chi.indices),
-                   "poly": _poly_payload(F), "M": inst["M"], "N": inst["N"],
-                   "r": r, "d": d, "lhs": lhs, "rhs": rhs,
-                   "ratio": lhs / rhs, "nterms": inst["N"],
-                   "sanity_ok": lhs <= inst["N"] + 1e-9}
-            if cfg.diagnostics:
-                rec.update(_thm1_diagnostics(chi, F, inst["M"], inst["N"], r, d))
-            return rec
 
-        records = _run_instances(instances, evaluate, cfg.threads)
-        return _finish(cfg, records, _theorem_notes())
+def _thm1_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r, d = _require_r(cfg), cfg.d
+    instances = _squarefree_instances(cfg, "thm1", r)
+    exponent = theorem_exponent("thm1", r, d)
 
-    if which == "thm2":
-        r = _require_r(cfg, minimum_extra=cfg.s + 1)
-        rng = SplitMix64(cfg.seed)
-        moduli = [q for q in _odd_squarefree(cfg.q_min, cfg.q_max)
-                  if factor_squarefree(q).num_prime_factors <= cfg.s]
-        moduli = rng.sample_without_replacement(moduli, cfg.samples)
-        theta = range_cap_exponent("thm2", r, d)
-        exponent = theorem_exponent("thm2", r, d)
-        instances = []
-        for q in moduli:
-            chars = enumerate_primitive_characters(factor_squarefree(q))
-            for chi in rng.sample_without_replacement(chars, cfg.chars_per_modulus):
-                F = sample_phase_poly(rng, 1, d)
-                M = rng.next_below(q)
-                N = max(int(q**theta), 1)
-                instances.append({"q": q, "chi": chi, "F": F, "M": M, "N": N})
+    def evaluate(inst):
+        rec = _mixed_sum_record(inst, exponent, r, d)
+        if cfg.diagnostics:
+            _, chi, F, M, N = inst
+            rec.update(_thm1_diagnostics(chi, F, M, N, r, d))
+        return rec
 
-        def evaluate(inst):
-            lhs = abs(mixed_sum(inst["chi"], inst["F"], inst["M"], inst["N"]))
-            rhs = inst["N"] ** (1 - 1 / r) * inst["q"] ** exponent
-            return {"q": inst["q"], "char_indices": list(inst["chi"].indices),
-                    "poly": _poly_payload(inst["F"]), "M": inst["M"],
-                    "N": inst["N"], "r": r, "d": d, "s": cfg.s, "lhs": lhs,
-                    "rhs": rhs, "ratio": lhs / rhs, "nterms": inst["N"],
-                    "sanity_ok": lhs <= inst["N"] + 1e-9}
+    return _run(cfg, instances, evaluate, _theorem_notes())
 
-        records = _run_instances(instances, evaluate, cfg.threads)
-        return _finish(cfg, records, _theorem_notes())
 
-    if which == "thm3":
-        r = _require_r(cfg)
-        theorem_exponent("thm3", r, d)  # early r > D validation
-        rng = SplitMix64(cfg.seed)
-        candidates = []
-        for q in _primes_upto(cfg.field_max):
-            if q < 5:
-                continue
-            n = 2
-            while q**n <= cfg.field_max:
-                candidates.append((q, n))
-                n += 1
-        chosen = rng.sample_without_replacement(sorted(candidates), cfg.samples)
-        instances = []
-        for q, n in chosen:
-            spec = build_field(q, n, basis=cfg.basis if n == len(cfg.basis or []) else None)
-            t = 1 + rng.next_below(spec.size - 2) if spec.size > 2 else 0
-            F = sample_phase_poly(rng, n, d)
-            H = max(math.isqrt(q), 1)
-            instances.append({"spec": spec, "t": t, "F": F, "H": H})
+def _thm2_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r, d = _require_r(cfg, minimum_extra=cfg.s + 1), cfg.d
+    instances = _squarefree_instances(cfg, "thm2", r, max_factors=cfg.s)
+    exponent = theorem_exponent("thm2", r, d)
+    return _run(cfg, instances,
+                lambda inst: _mixed_sum_record(inst, exponent, r, d, s=cfg.s),
+                _theorem_notes())
 
-        def evaluate(inst):
-            spec = inst["spec"]
-            chi = FieldCharacter(spec, inst["t"])
-            lhs = abs(box_mixed_sum(chi, inst["F"], inst["H"]))
-            nb = inst["H"] ** spec.n
-            rhs = nb ** (1 - 1 / r) * spec.q ** theorem_exponent("thm3", r, d, n=spec.n)
-            return {"q": spec.q, "n": spec.n, "modpoly": list(spec.modpoly),
-                    "basis": [list(row) for row in spec.basis], "t": inst["t"],
-                    "poly": _poly_payload(inst["F"]), "H": inst["H"], "r": r,
-                    "d": d, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-                    "nterms": nb, "sanity_ok": lhs <= nb + 1e-9}
 
-        records = _run_instances(instances, evaluate, cfg.threads)
-        return _finish(cfg, records, _theorem_notes(
-            ["the working basis is recorded per record; bounds may depend on it"]))
+def _thm3_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r, d = _require_r(cfg), cfg.d
+    theorem_exponent("thm3", r, d)  # early r > D validation
+    rng = SplitMix64(cfg.seed)
+    candidates = []  # (q, n) in lexicographic order
+    for q in primes_upto(cfg.field_max):
+        n = 2
+        while q >= 5 and q**n <= cfg.field_max:
+            candidates.append((q, n))
+            n += 1
+    instances = []
+    for q, n in rng.sample_without_replacement(candidates, cfg.samples):
+        spec = build_field(q, n, basis=cfg.basis if n == len(cfg.basis or []) else None)
+        t = 1 + rng.next_below(spec.size - 2) if spec.size > 2 else 0
+        F = sample_phase_poly(rng, n, d)
+        instances.append((spec, t, F, max(math.isqrt(q), 1)))
 
-    if which == "thm4":
-        r = _require_r(cfg)
-        D = cfg.degree_constant()
-        if r <= D + 1:
-            raise HypothesisViolated(
-                f"the box hypotheses need r >= D + 2 = {int(D) + 2}")
-        rng = SplitMix64(cfg.seed)
-        n = cfg.n_dims
-        primes = [p for p in _primes_upto(cfg.q_max) if p >= 11]
-        if len(primes) < 2:
-            raise HypothesisViolated(
-                f"thm4 needs two primes >= 11 up to q_max = {cfg.q_max}")
-        instances = []
-        for _ in range(cfg.samples):
-            i = rng.next_below(len(primes) - 1)
-            qs = [primes[i], primes[min(i + 1, len(primes) - 1)]][:n]
-            while len(qs) < n:
-                qs.append(primes[i])
-            q = math.prod(qs)
-            lower = q ** (1 / (2 * (r - D)))
-            if any(qi <= lower for qi in qs):
-                continue
-            Hs, Ms = [], []
-            ok = True
-            for qi in qs:
-                upper = qi ** (0.5 + 1 / (4 * (r - D)))
-                if upper < lower:
-                    ok = False
-                    break
-                Hs.append(max(int(upper), int(math.ceil(lower)), 1))
-                Ms.append(rng.next_below(qi))
-            if not ok:
-                continue
-            chis = [crt_character(factor_squarefree(qi), (1 + rng.next_below(qi - 2),))
-                    for qi in qs]
-            F = sample_phase_poly(rng, n, d)
-            instances.append({"qs": qs, "chis": chis, "F": F, "Ms": Ms, "Hs": Hs})
+    def evaluate(inst):
+        spec, t, F, H = inst
+        lhs = abs(box_mixed_sum(FieldCharacter(spec, t), F, H))
+        return _bound_record(lhs, H ** spec.n, spec.q,
+                             theorem_exponent("thm3", r, d, n=spec.n), r, d,
+                             q=spec.q, n=spec.n, modpoly=list(spec.modpoly),
+                             basis=[list(row) for row in spec.basis], t=t,
+                             poly=_poly_payload(F), H=H)
 
-        def evaluate(inst):
-            q = math.prod(inst["qs"])
-            lhs = abs(multi_char_mixed_sum(inst["chis"], inst["F"], inst["Ms"], inst["Hs"]))
-            nb = math.prod(inst["Hs"])
-            rhs = nb ** (1 - 1 / r) * q ** theorem_exponent("thm4", r, d, n=len(inst["qs"]))
-            return {"q_list": inst["qs"], "char_indices": [c.indices[0] for c in inst["chis"]],
-                    "poly": _poly_payload(inst["F"]), "M_list": inst["Ms"],
-                    "H_list": inst["Hs"], "r": r, "d": d, "lhs": lhs, "rhs": rhs,
-                    "ratio": lhs / rhs, "nterms": nb,
-                    "sanity_ok": lhs <= nb + 1e-9}
+    return _run(cfg, instances, evaluate, _theorem_notes(
+        ["the working basis is recorded per record; bounds may depend on it"]))
 
-        records = _run_instances(instances, evaluate, cfg.threads)
-        return _finish(cfg, records, _theorem_notes())
 
-    if which == "thm5":
-        r = _require_r(cfg)
-        rng = SplitMix64(cfg.seed)
-        n = cfg.n_dims
-        primes = [p for p in _primes_upto(cfg.q_max) if p >= 11]
-        primes = rng.sample_without_replacement(primes, cfg.samples)
-        instances = []
-        for q in primes:
-            while True:
-                rows = tuple(tuple(rng.next_below(q) for _ in range(n)) for _ in range(n))
-                L = LinearSystem(rows)
-                if math.gcd(L.determinant() % q, q) == 1:
-                    break
-            t = 1 + rng.next_below(q - 2)
-            chi = crt_character(factor_squarefree(q), (t,))
-            F = sample_phase_poly(rng, n, d)
-            H = max(math.isqrt(q), 1)
-            instances.append({"q": q, "L": L, "chi": chi, "F": F, "H": H})
+def _thm4_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r, d, n = _require_r(cfg), cfg.d, cfg.n_dims
+    D = cfg.degree_constant()
+    if r <= D + 1:
+        raise HypothesisViolated(
+            f"the box hypotheses need r >= D + 2 = {int(D) + 2}")
+    rng = SplitMix64(cfg.seed)
+    primes = [p for p in primes_upto(cfg.q_max) if p >= 11]
+    if len(primes) < 2:
+        raise HypothesisViolated(
+            f"thm4 needs two primes >= 11 up to q_max = {cfg.q_max}")
+    instances = []
+    for _ in range(cfg.samples):
+        i = rng.next_below(len(primes) - 1)
+        qs = ([primes[i], primes[i + 1]] + [primes[i]] * n)[:n]
+        lower = math.prod(qs) ** (1 / (2 * (r - D)))
+        uppers = [qi ** (0.5 + 1 / (4 * (r - D))) for qi in qs]
+        if any(qi <= lower for qi in qs) or any(u < lower for u in uppers):
+            continue
+        Hs = [max(int(u), int(math.ceil(lower)), 1) for u in uppers]
+        Ms = [rng.next_below(qi) for qi in qs]
+        chis = [crt_character(factor_squarefree(qi), (1 + rng.next_below(qi - 2),))
+                for qi in qs]
+        instances.append((qs, chis, sample_phase_poly(rng, n, d), Ms, Hs))
+    exponent = theorem_exponent("thm4", r, d, n=n)
 
-        def evaluate(inst):
-            lhs = abs(linear_forms_mixed_sum(inst["chi"], inst["L"], inst["F"], inst["H"]))
-            nb = inst["H"] ** n
-            rhs = nb ** (1 - 1 / r) * inst["q"] ** theorem_exponent("thm5", r, d, n=n)
-            return {"q": inst["q"], "matrix": [list(row) for row in inst["L"].matrix],
-                    "char_indices": list(inst["chi"].indices),
-                    "poly": _poly_payload(inst["F"]), "H": inst["H"], "r": r,
-                    "d": d, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
-                    "nterms": nb, "sanity_ok": lhs <= nb + 1e-9}
+    def evaluate(inst):
+        qs, chis, F, Ms, Hs = inst
+        lhs = abs(multi_char_mixed_sum(chis, F, Ms, Hs))
+        return _bound_record(lhs, math.prod(Hs), math.prod(qs), exponent, r, d,
+                             q_list=qs, char_indices=[c.indices[0] for c in chis],
+                             poly=_poly_payload(F), M_list=Ms, H_list=Hs)
 
-        records = _run_instances(instances, evaluate, cfg.threads)
-        return _finish(cfg, records, _theorem_notes())
+    return _run(cfg, instances, evaluate, _theorem_notes())
 
-    raise ValueError(f"unknown theorem target {which!r}")
+
+def _thm5_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r, d, n = _require_r(cfg), cfg.d, cfg.n_dims
+    rng = SplitMix64(cfg.seed)
+    primes = [p for p in primes_upto(cfg.q_max) if p >= 11]
+    instances = []
+    for q in rng.sample_without_replacement(primes, cfg.samples):
+        while True:
+            L = LinearSystem(tuple(tuple(rng.next_below(q) for _ in range(n))
+                                   for _ in range(n)))
+            if math.gcd(L.determinant() % q, q) == 1:
+                break
+        chi = crt_character(factor_squarefree(q), (1 + rng.next_below(q - 2),))
+        F = sample_phase_poly(rng, n, d)
+        instances.append((q, L, chi, F, max(math.isqrt(q), 1)))
+
+    def evaluate(inst):
+        q, L, chi, F, H = inst
+        lhs = abs(linear_forms_mixed_sum(chi, L, F, H))
+        return _bound_record(lhs, H ** n, q, theorem_exponent("thm5", r, d, n=n), r, d,
+                             q=q, matrix=[list(row) for row in L.matrix],
+                             char_indices=list(chi.indices), poly=_poly_payload(F), H=H)
+
+    return _run(cfg, instances, evaluate, _theorem_notes())
 
 
 def _thm1_diagnostics(chi: DirichletCharacter, F: RealPolynomial,
@@ -551,8 +499,7 @@ def _tuple_gcd_bounds(diff_products: np.ndarray, p: int) -> np.ndarray:
 
 def _weil_campaign(cfg: CampaignConfig) -> VerificationReport:
     r = cfg.r if cfg.r is not None else 2
-    cap_limit = min(cfg.q_max, 101)
-    primes = _primes_upto(cap_limit)
+    primes = primes_upto(min(cfg.q_max, 101))
 
     def order_class_indices(p):
         """One character index per order class: t = (p-1)/ord per divisor ord > 1."""
@@ -610,11 +557,10 @@ def _weil_campaign(cfg: CampaignConfig) -> VerificationReport:
                 "sanity_ok": violations == 0}
 
     records = _run_instances(instances, evaluate, cfg.threads)
-    total_viol = sum(rec["violations"] for rec in records)
     return _finish(cfg, records, _theorem_notes(
         [f"bound: (2r-1) * gcd(p, A_i)^(1/2) * p^(1/2) with r = {r}; "
-         "zero violations required"]), extra_pass=(total_viol == 0),
-        extra_aggregate={"total_violations": total_viol})
+         "zero violations required"]),
+        extra_aggregate={"total_violations": sum(rec["violations"] for rec in records)})
 
 
 # ----------------------------------------------------------------------
@@ -692,7 +638,7 @@ def _smoothing_campaign(cfg: CampaignConfig) -> VerificationReport:
                 "ratio_inner_max": lhs / rhs_inner if rhs_inner > 0 else float("inf"),
                 "sanity_ok": math.isfinite(lhs)}
 
-    records = _run_instances(list(range(cfg.samples)), evaluate, cfg.threads)
+    records = _run_instances(range(cfg.samples), evaluate, cfg.threads)
     finite = all(math.isfinite(rec["ratio"]) for rec in records)
     notes = [f"boxes N = {Ns}, U = {Us}, V = {V}; alpha grid {cfg.grid} points "
              "plus 40 ternary refinement steps around the argmax",
@@ -768,98 +714,86 @@ def _first_primitive_character(q: int) -> DirichletCharacter:
     return crt_character(m, (1,) * len(m.primes))
 
 
-def _mean_value_campaign(cfg: CampaignConfig, kind: str) -> VerificationReport:
+def _w_record(w: float, rhs: float, /, **fields) -> dict:
+    """A lemma 3-6 record: the exact mean value W against the lemma's bound."""
+    return {**fields, "W": w, "rhs": rhs, "ratio": w / rhs, "sanity_ok": w >= -1e-9}
+
+
+def _v_sweep(cfg: CampaignConfig) -> tuple[int, ...]:
+    return cfg.V_list if cfg.V_list is not None else DEFAULT_V_SWEEP
+
+
+def _lemma3_campaign(cfg: CampaignConfig) -> VerificationReport:
     r = cfg.r if cfg.r is not None else 2
     d = cfg.d
-    v_sweep = cfg.V_list if cfg.V_list is not None else DEFAULT_V_SWEEP
-    notes = _theorem_notes()
-    instances = []
+    # the frozen sweep is fixed; q_max does not trim it
+    instances = [(q, V) for q in LEMMA3_MODULI for V in _v_sweep(cfg)]
 
-    if kind == "lemma3":
-        # the frozen sweep is fixed; q_max does not trim it
-        for q in LEMMA3_MODULI:
-            for V in v_sweep:
-                instances.append({"q": q, "V": V})
+    def evaluate(inst):
+        q, V = inst
+        chi = _first_primitive_character(q)
+        w = exact_W_squarefree(chi, None, VinogradovParams(r, d, V), budget=cfg.budget)
+        j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
+        return _w_record(w, lemma_rhs("L3", q=q, V=V, r=r, j_count=j), q=q, V=V, r=r,
+                         d=d, char_indices=list(chi.indices), J=j)
 
-        def evaluate(inst):
-            q, V = inst["q"], inst["V"]
-            chi = _first_primitive_character(q)
-            p = VinogradovParams(r, d, V)
-            w = exact_W_squarefree(chi, None, p, budget=cfg.budget)
-            j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
-            rhs = lemma_rhs("L3", q=q, V=V, r=r, j_count=j)
-            return {"q": q, "V": V, "r": r, "d": d, "char_indices": list(chi.indices),
-                    "W": w, "J": j, "rhs": rhs, "ratio": w / rhs,
-                    "sanity_ok": w >= -1e-9}
+    return _run(cfg, instances, evaluate, _theorem_notes())
 
-    elif kind == "lemma4":
-        s = cfg.s
-        r = cfg.r if cfg.r is not None else s + 2
-        if r < s + 2:
-            raise HypothesisViolated("lemma4 sweep needs r >= s + 2")
-        notes = _theorem_notes([LEMMA4_NOTE])
-        for q in LEMMA4_MODULI:
-            if factor_squarefree(q).num_prime_factors > s:
-                continue
-            for V in v_sweep:
-                if V**r * V**r <= cfg.budget:
-                    instances.append({"q": q, "V": V})
 
-        def evaluate(inst):
-            q, V = inst["q"], inst["V"]
-            chi = _first_primitive_character(q)
-            p = VinogradovParams(r, d, V)
-            w = exact_W_squarefree(chi, None, p, budget=cfg.budget)
-            j = get_j_count(r - s - 1, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
-            rhs = lemma_rhs("L4", q=q, V=V, r=r, s=s, j_count=j)
-            return {"q": q, "V": V, "r": r, "d": d, "s": s,
-                    "char_indices": list(chi.indices), "W": w, "J_reduced": j,
-                    "rhs": rhs, "ratio": w / rhs, "sanity_ok": w >= -1e-9}
+def _lemma4_campaign(cfg: CampaignConfig) -> VerificationReport:
+    s, d = cfg.s, cfg.d
+    r = cfg.r if cfg.r is not None else s + 2
+    if r < s + 2:
+        raise HypothesisViolated("lemma4 sweep needs r >= s + 2")
+    instances = [(q, V) for q in LEMMA4_MODULI
+                 if factor_squarefree(q).num_prime_factors <= s
+                 for V in _v_sweep(cfg) if V**r * V**r <= cfg.budget]
 
-    elif kind == "lemma5":
-        for qs in LEMMA5_PAIRS:
-            for V in v_sweep:
-                if V <= min(qs):
-                    instances.append({"qs": qs, "V": V})
+    def evaluate(inst):
+        q, V = inst
+        chi = _first_primitive_character(q)
+        w = exact_W_squarefree(chi, None, VinogradovParams(r, d, V), budget=cfg.budget)
+        j = get_j_count(r - s - 1, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
+        return _w_record(w, lemma_rhs("L4", q=q, V=V, r=r, s=s, j_count=j), q=q, V=V,
+                         r=r, d=d, s=s, char_indices=list(chi.indices), J_reduced=j)
 
-        def evaluate(inst):
-            qs, V = inst["qs"], inst["V"]
-            chis = [crt_character(factor_squarefree(qi), (1,)) for qi in qs]
-            p = VinogradovParams(r, d, V)
-            w = exact_W_multichar(chis, None, p, budget=cfg.budget)
-            j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
-            q = math.prod(qs)
-            rhs = lemma_rhs("L5", q=q, V=V, r=r, j_count=j)
-            return {"q_list": list(qs), "V": V, "r": r, "d": d, "W": w, "J": j,
-                    "rhs": rhs, "ratio": w / rhs, "sanity_ok": w >= -1e-9}
+    return _run(cfg, instances, evaluate, _theorem_notes([LEMMA4_NOTE]))
 
-    elif kind == "lemma6":
-        notes = _theorem_notes(["lambda ranges over the whole field, so the "
-                                "value is basis-independent; fields are built "
-                                "on the default power basis"])
-        fields = {(q, n): build_field(q, n) for q, n in LEMMA6_FIELDS
-                  if q**n <= cfg.field_max}
-        for q, n in fields:
-            for V in v_sweep:
-                instances.append({"q": q, "n": n, "V": V})
 
-        def evaluate(inst):
-            q, n, V = inst["q"], inst["n"], inst["V"]
-            spec = fields[(q, n)]
-            chi = FieldCharacter(spec, 1)
-            p = VinogradovParams(r, d, V)
-            w = exact_W_field(chi, None, p, budget=cfg.budget)
-            j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
-            rhs = lemma_rhs("L6", q=spec.size, V=V, r=r, j_count=j)
-            return {"q": q, "n": n, "field_size": spec.size, "V": V, "r": r,
-                    "d": d, "W": w, "J": j, "rhs": rhs, "ratio": w / rhs,
-                    "sanity_ok": w >= -1e-9}
+def _lemma5_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r = cfg.r if cfg.r is not None else 2
+    d = cfg.d
+    instances = [(qs, V) for qs in LEMMA5_PAIRS for V in _v_sweep(cfg) if V <= min(qs)]
 
-    else:
-        raise ValueError(f"unknown mean-value target {kind!r}")
+    def evaluate(inst):
+        qs, V = inst
+        chis = [crt_character(factor_squarefree(qi), (1,)) for qi in qs]
+        w = exact_W_multichar(chis, None, VinogradovParams(r, d, V), budget=cfg.budget)
+        j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
+        rhs = lemma_rhs("L5", q=math.prod(qs), V=V, r=r, j_count=j)
+        return _w_record(w, rhs, q_list=list(qs), V=V, r=r, d=d, J=j)
 
-    records = _run_instances(instances, evaluate, cfg.threads)
-    return _finish(cfg, records, notes)
+    return _run(cfg, instances, evaluate, _theorem_notes())
+
+
+def _lemma6_campaign(cfg: CampaignConfig) -> VerificationReport:
+    r = cfg.r if cfg.r is not None else 2
+    d = cfg.d
+    fields = [build_field(q, n) for q, n in LEMMA6_FIELDS if q**n <= cfg.field_max]
+    instances = [(spec, V) for spec in fields for V in _v_sweep(cfg)]
+
+    def evaluate(inst):
+        spec, V = inst
+        w = exact_W_field(FieldCharacter(spec, 1), None, VinogradovParams(r, d, V),
+                          budget=cfg.budget)
+        j = get_j_count(r, d, V, budget=cfg.budget, use_cache=cfg.use_cache)
+        rhs = lemma_rhs("L6", q=spec.size, V=V, r=r, j_count=j)
+        return _w_record(w, rhs, q=spec.q, n=spec.n, field_size=spec.size, V=V, r=r,
+                         d=d, J=j)
+
+    return _run(cfg, instances, evaluate, _theorem_notes(
+        ["lambda ranges over the whole field, so the value is basis-independent; "
+         "fields are built on the default power basis"]))
 
 
 # ----------------------------------------------------------------------
@@ -871,64 +805,48 @@ LEMMA8_PRIMES = (5, 11, 23, 47, 101, 211, 401, 601, 809, 1013)
 LEMMA9_PRIMES = (101, 199, 401, 997)
 
 
-def _energy_campaign(cfg: CampaignConfig, kind: str) -> VerificationReport:
-    notes = [OSMALL_NOTE]
-    if kind == "lemma7":
-        instances = [{"q": q, "N": N, "U": U} for q, N, U in LEMMA7_SWEEP
-                     if q <= max(cfg.q_max, 1001)]
+def _lemma7_campaign(cfg: CampaignConfig) -> VerificationReport:
+    def evaluate(inst):
+        q, N, U = inst
+        count = cong_energy(q, 0, N, U, override_hypotheses=cfg.override_hypotheses)
+        return {"q": q, "N": N, "U": U, "count": count,
+                "ratio": count / (N * U), "sanity_ok": count >= N}
 
-        def evaluate(inst):
-            q, N, U = inst["q"], inst["N"], inst["U"]
-            count = cong_energy(q, 0, N, U,
-                                override_hypotheses=cfg.override_hypotheses)
-            return {"q": q, "N": N, "U": U, "count": count,
-                    "ratio": count / (N * U), "sanity_ok": count >= N}
+    return _run(cfg, LEMMA7_SWEEP, evaluate, [OSMALL_NOTE])
 
-    elif kind == "lemma8":
-        instances = []
-        for q in LEMMA8_PRIMES:
-            if q * q > 1 << 20:
-                continue
-            h = math.isqrt(q)
-            instances.append({"q": q, "H": h, "U": h})
 
-        def evaluate(inst):
-            q, H, U = inst["q"], inst["H"], inst["U"]
-            spec = build_field(q, 2)
-            count = ff_box_energy(spec, H, U,
-                                  override_hypotheses=cfg.override_hypotheses)
-            denom = (U * H) ** 2 * math.log(q)
-            return {"q": q, "n": 2, "H": H, "U": U, "count": count,
-                    "ratio": count / denom,
-                    "sanity_ok": count >= (H * U) ** 2}
+def _lemma8_campaign(cfg: CampaignConfig) -> VerificationReport:
+    instances = [q for q in LEMMA8_PRIMES if q * q <= 1 << 20]
 
-    elif kind == "lemma9":
-        notes = [OSMALL_NOTE, LEMMA9_NOTE]
-        systems = (LinearSystem(((1, 0), (0, 1))), LinearSystem(((1, 1), (0, 1))))
-        instances = []
-        for q in LEMMA9_PRIMES:
-            h = math.isqrt(q)
-            for idx, L in enumerate(systems):
-                instances.append({"q": q, "H": h, "U": h, "L": L, "L_index": idx})
+    def evaluate(q):
+        H = U = math.isqrt(q)
+        count = ff_box_energy(build_field(q, 2), H, U,
+                              override_hypotheses=cfg.override_hypotheses)
+        denom = (U * H) ** 2 * math.log(q)
+        return {"q": q, "n": 2, "H": H, "U": U, "count": count,
+                "ratio": count / denom, "sanity_ok": count >= (H * U) ** 2}
 
-        def evaluate(inst):
-            q, H, U, L = inst["q"], inst["H"], inst["U"], inst["L"]
-            count = linear_forms_energy(q, L, H, U,
-                                        override_hypotheses=cfg.override_hypotheses)
-            return {"q": q, "H": H, "U": U,
-                    "matrix": [list(row) for row in L.matrix],
-                    "count": count, "ratio": count / ((U * H) ** L.n),
-                    "sanity_ok": count >= (H * U) ** L.n}
+    return _run(cfg, instances, evaluate, [OSMALL_NOTE])
 
-    else:
-        raise ValueError(f"unknown energy target {kind!r}")
 
-    records = _run_instances(instances, evaluate, cfg.threads)
-    return _finish(cfg, records, notes)
+def _lemma9_campaign(cfg: CampaignConfig) -> VerificationReport:
+    systems = (LinearSystem(((1, 0), (0, 1))), LinearSystem(((1, 1), (0, 1))))
+    instances = [(q, L) for q in LEMMA9_PRIMES for L in systems]
+
+    def evaluate(inst):
+        q, L = inst
+        H = U = math.isqrt(q)
+        count = linear_forms_energy(q, L, H, U,
+                                    override_hypotheses=cfg.override_hypotheses)
+        return {"q": q, "H": H, "U": U, "matrix": [list(row) for row in L.matrix],
+                "count": count, "ratio": count / ((U * H) ** L.n),
+                "sanity_ok": count >= (H * U) ** L.n}
+
+    return _run(cfg, instances, evaluate, [OSMALL_NOTE, LEMMA9_NOTE])
 
 
 # ----------------------------------------------------------------------
-# comparator campaign and dispatch
+# comparator campaign and the campaign table
 
 def _compare_campaign(cfg: CampaignConfig) -> VerificationReport:
     N = cfg.N if cfg.N is not None else max(int(cfg.q_max**0.3), 2)
@@ -940,39 +858,23 @@ def _compare_campaign(cfg: CampaignConfig) -> VerificationReport:
     return _finish(cfg, [record], [OSMALL_NOTE])
 
 
-def verify_theorem(cfg: CampaignConfig) -> VerificationReport:
-    return _theorem_campaign(cfg, cfg.target)
-
-
-def verify_weil(cfg: CampaignConfig) -> VerificationReport:
-    return _weil_campaign(cfg)
-
-
-def verify_smoothing(cfg: CampaignConfig) -> VerificationReport:
-    return _smoothing_campaign(cfg)
-
-
-def verify_phi(cfg: CampaignConfig) -> VerificationReport:
-    return _phi_campaign(cfg)
-
-
-_DISPATCH = {
-    "thm1": lambda cfg: _theorem_campaign(cfg, "thm1"),
-    "thm2": lambda cfg: _theorem_campaign(cfg, "thm2"),
-    "thm3": lambda cfg: _theorem_campaign(cfg, "thm3"),
-    "thm4": lambda cfg: _theorem_campaign(cfg, "thm4"),
-    "thm5": lambda cfg: _theorem_campaign(cfg, "thm5"),
+CAMPAIGNS = {
+    "thm1": _thm1_campaign,
+    "thm2": _thm2_campaign,
+    "thm3": _thm3_campaign,
+    "thm4": _thm4_campaign,
+    "thm5": _thm5_campaign,
     "lemma1": _smoothing_campaign,
     "smoothing": _smoothing_campaign,
     "lemma2": _weil_campaign,
     "weil": _weil_campaign,
-    "lemma3": lambda cfg: _mean_value_campaign(cfg, "lemma3"),
-    "lemma4": lambda cfg: _mean_value_campaign(cfg, "lemma4"),
-    "lemma5": lambda cfg: _mean_value_campaign(cfg, "lemma5"),
-    "lemma6": lambda cfg: _mean_value_campaign(cfg, "lemma6"),
-    "lemma7": lambda cfg: _energy_campaign(cfg, "lemma7"),
-    "lemma8": lambda cfg: _energy_campaign(cfg, "lemma8"),
-    "lemma9": lambda cfg: _energy_campaign(cfg, "lemma9"),
+    "lemma3": _lemma3_campaign,
+    "lemma4": _lemma4_campaign,
+    "lemma5": _lemma5_campaign,
+    "lemma6": _lemma6_campaign,
+    "lemma7": _lemma7_campaign,
+    "lemma8": _lemma8_campaign,
+    "lemma9": _lemma9_campaign,
     "phi": _phi_campaign,
     "compare": _compare_campaign,
 }
@@ -981,7 +883,7 @@ _DISPATCH = {
 def run_campaign(cfg: CampaignConfig) -> VerificationReport:
     """Run the campaign named by cfg.target."""
     try:
-        runner = _DISPATCH[cfg.target]
+        runner = CAMPAIGNS[cfg.target]
     except KeyError:
         raise ValueError(f"unknown campaign target {cfg.target!r}") from None
     return runner(cfg)

@@ -21,27 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, NotPrime, OutOfRange, TooLarge
-from .modular import SquarefreeModulus, is_probable_prime
+from .modular import SquarefreeModulus, is_probable_prime, prime_factors
 
 PRIME_TABLE_BOUND = 1 << 24
 ENUMERATION_BOUND = 10**5
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _factor_all(n: int) -> list[int]:
-    """Distinct prime factors of n (general n, trial division)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_primitive_root(p: int) -> int:
@@ -52,7 +37,7 @@ def find_primitive_root(p: int) -> int:
         raise OutOfRange(f"prime {p} exceeds the table bound {PRIME_TABLE_BOUND}")
     if p == 2:
         return 1
-    factors = _factor_all(p - 1)
+    factors = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g

@@ -15,11 +15,12 @@ come before the subcommand:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import cache as cachemod
-from .campaigns import CampaignConfig, compare_exponents, run_campaign
+from .campaigns import CAMPAIGNS, CampaignConfig, compare_exponents, run_campaign
 from .characters import crt_character
 from .energy import cong_energy, ff_box_energy, linear_forms_energy
 from .errors import CharSumLabError
@@ -27,16 +28,18 @@ from .ffield import build_field
 from .meanvalues import (VinogradovParams, vinogradov_count_mitm,
                          vinogradov_count_naive)
 from .modular import factor_squarefree
-from .reports import emit_report
 from .sums import LinearSystem
-
-VERIFY_TARGETS = ("thm1", "thm2", "thm3", "thm4", "thm5",
-                  "lemma1", "lemma2", "lemma3", "lemma4", "lemma5", "lemma6",
-                  "lemma7", "lemma8", "lemma9", "weil", "smoothing", "phi")
 
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _square_matrix(entries: list[int], what: str) -> tuple[tuple[int, ...], ...]:
+    n = int(round(len(entries) ** 0.5))
+    if n * n != len(entries):
+        raise CharSumLabError(f"{what} must have n*n entries")
+    return tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
 
 
 def _print_json(obj) -> None:
@@ -46,10 +49,11 @@ def _print_json(obj) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csl", description="mixed character sum laboratory")
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed (u64)")
+    parser.add_argument("--seed", type=int, default=CampaignConfig.seed,
+                        help="campaign seed (u64)")
     parser.add_argument("--out", type=str, default=None, help="JSON report path")
     parser.add_argument("--csv", type=str, default=None, help="CSV report path")
-    parser.add_argument("--budget", type=int, default=10**9,
+    parser.add_argument("--budget", type=int, default=CampaignConfig.budget,
                         help="enumeration budget in tuple operations")
     parser.add_argument("--override-hypotheses", action="store_true",
                         help="run sweeps outside the stated lemma hypotheses")
@@ -95,28 +99,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin.add_argument("--U", type=int, required=True)
     p_lin.add_argument("--method", choices=("hashed", "naive"), default="hashed")
 
-    p_verify = sub.add_parser("verify", help="run a verification campaign")
-    p_verify.add_argument("target", choices=VERIFY_TARGETS)
-    p_verify.add_argument("--d", type=int, default=2)
-    p_verify.add_argument("--r", type=int, default=None)
-    p_verify.add_argument("--r-d", dest="r_d", type=int, default=None)
-    p_verify.add_argument("--s", type=int, default=2)
-    p_verify.add_argument("--q-min", type=int, default=3)
-    p_verify.add_argument("--q-max", type=int, default=300)
-    p_verify.add_argument("--field-max", type=int, default=4096)
-    p_verify.add_argument("--samples", type=int, default=5)
-    p_verify.add_argument("--chars-per-modulus", type=int, default=2)
-    p_verify.add_argument("--V-list", dest="V_list", type=_int_list, default=None)
-    p_verify.add_argument("--V-phi", dest="V_phi", type=int, default=100)
-    p_verify.add_argument("--tuple-cap", type=int, default=8)
-    p_verify.add_argument("--grid", type=int, default=1024)
-    p_verify.add_argument("--constant", type=float, default=None,
+    # unset flags stay out of the namespace, so CampaignConfig holds the defaults
+    p_verify = sub.add_parser("verify", help="run a verification campaign",
+                              argument_default=argparse.SUPPRESS)
+    p_verify.add_argument("target", choices=[t for t in CAMPAIGNS if t != "compare"])
+    p_verify.add_argument("--d", type=int)
+    p_verify.add_argument("--r", type=int)
+    p_verify.add_argument("--r-d", dest="r_d", type=int)
+    p_verify.add_argument("--s", type=int)
+    p_verify.add_argument("--q-min", type=int)
+    p_verify.add_argument("--q-max", type=int)
+    p_verify.add_argument("--field-max", type=int)
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--chars-per-modulus", type=int)
+    p_verify.add_argument("--V-list", dest="V_list", type=_int_list)
+    p_verify.add_argument("--V-phi", dest="V_phi", type=int)
+    p_verify.add_argument("--tuple-cap", type=int)
+    p_verify.add_argument("--grid", type=int)
+    p_verify.add_argument("--constant", type=float,
                           help="pass threshold on the max LHS/RHS ratio")
-    p_verify.add_argument("--slack", type=float, default=0.0)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--slack", type=float)
+    p_verify.add_argument("--threads", type=int)
     p_verify.add_argument("--use-cache", action="store_true")
     p_verify.add_argument("--diagnostics", action="store_true")
-    p_verify.add_argument("--basis", type=_int_list, default=None,
+    p_verify.add_argument("--basis", type=_int_list,
                           help="row-major n*n working-basis matrix for field targets")
 
     p_cmp = sub.add_parser("compare-exponents", help="exponent comparison table")
@@ -175,10 +181,7 @@ def _cmd_energy(args) -> int:
                    "U": args.U, "count": count}
     else:
         entries = args.matrix
-        n = int(round(len(entries) ** 0.5))
-        if n * n != len(entries):
-            raise CharSumLabError("matrix must have n*n entries")
-        L = LinearSystem(tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
+        L = LinearSystem(_square_matrix(entries, "matrix"))
         count = linear_forms_energy(args.q, L, args.H, args.U, method=args.method,
                                     override_hypotheses=args.override_hypotheses)
         payload = {"variant": "linforms", "q": args.q, "matrix": entries,
@@ -188,26 +191,16 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    target = args.target
-    basis = None
-    if args.basis:
-        n = int(round(len(args.basis) ** 0.5))
-        if n * n != len(args.basis):
-            raise CharSumLabError("basis must have n*n entries")
-        basis = tuple(tuple(args.basis[i * n:(i + 1) * n]) for i in range(n))
-    cfg = CampaignConfig(
-        target=target, seed=args.seed, d=args.d, r=args.r, r_d=args.r_d,
-        s=args.s, q_min=args.q_min, q_max=args.q_max, field_max=args.field_max,
-        samples=args.samples, chars_per_modulus=args.chars_per_modulus,
-        V_list=tuple(args.V_list) if args.V_list else None, V_phi=args.V_phi,
-        tuple_cap=args.tuple_cap, grid=args.grid, slack=args.slack,
-        constant=args.constant, budget=args.budget,
-        override_hypotheses=args.override_hypotheses, use_cache=args.use_cache,
-        diagnostics=args.diagnostics, threads=args.threads, basis=basis,
-        out=args.out, csv=args.csv)
+    fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+    settings = {key: value for key, value in vars(args).items() if key in fields}
+    if "V_list" in settings:
+        settings["V_list"] = tuple(settings["V_list"]) or None
+    if "basis" in settings:
+        settings["basis"] = _square_matrix(settings["basis"], "basis") or None
+    cfg = CampaignConfig(**settings)
     report = run_campaign(cfg)
     agg = report.aggregate
-    print(f"target={target} records={len(report.records)} "
+    print(f"target={cfg.target} records={len(report.records)} "
           f"max_ratio={agg.get('max_ratio')} passed={report.passed}")
     if args.out:
         print(f"report written to {args.out}")

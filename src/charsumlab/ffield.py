@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxTooLarge, DivisionByZero, NotPrime, TooLarge
-from .modular import is_probable_prime, mod_inverse
+from .modular import is_probable_prime, mod_inverse, prime_factors
 
 FIELD_SIZE_BOUND = 1 << 26
 
@@ -95,26 +95,12 @@ def _is_irreducible(f, q):
         powers[i] = list(frob)
     if _poly_trim([(a - b) % q for a, b in itertools.zip_longest(powers[n], x, fillvalue=0)]):
         return False
-    for ell in _prime_factors(n):
+    for ell in prime_factors(n):
         diff = [(a - b) % q for a, b in itertools.zip_longest(powers[n // ell], x, fillvalue=0)]
         g = _poly_gcd(list(f), diff, q)
         if len(g) - 1 != 0:
             return False
     return True
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +401,7 @@ def _find_generator(spec: FieldSpec) -> int:
     size = spec.size
     if size == 2:
         return 1
-    factors = _prime_factors(size - 1)
+    factors = prime_factors(size - 1)
     one = spec.one()
     for enc in range(2, size):
         e = spec.from_encoding(enc)

@@ -3,12 +3,17 @@
 Factorization is trial division (cap 2^24 on the trial divisor) with a
 deterministic Miller-Rabin check on the remaining cofactor; moduli above
 2^48 are rejected outright.  Python integers are unbounded, so modular
-products are exact at every size we allow.
+products are exact at every size we allow.  The module is also the one
+home of the package's prime helpers for general n: distinct prime factors
+and the primes up to a bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotInvertible, NotSquarefree, OutOfRange
 
@@ -72,6 +77,33 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of any n >= 1, increasing, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes p <= n, increasing, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return [int(i) for i in np.flatnonzero(sieve)]
 
 
 def factor_squarefree(q: int) -> SquarefreeModulus:

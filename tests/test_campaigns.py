@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from charsumlab.campaigns import (CampaignConfig, _first_primitive_character,
-                                  chang_epsilon, compare_exponents, phi_factor,
-                                  run_campaign, sample_phase_poly,
-                                  theorem_exponent)
+from charsumlab.campaigns import (EMPTY_NOTE, CampaignConfig,
+                                  _first_primitive_character, _odd_squarefree,
+                                  chang_epsilon,
+                                  compare_exponents, phi_factor, run_campaign,
+                                  sample_phase_poly, theorem_exponent)
 from charsumlab.characters import enumerate_primitive_characters
 from charsumlab.errors import (DegenerateDenominator, HypothesisViolated,
                                IndexOutOfRange)
@@ -22,6 +23,16 @@ def run(target, **kw):
 def test_unknown_target():
     with pytest.raises(ValueError):
         run("thm9")
+
+
+def test_odd_squarefree_matches_trial_division():
+    def squarefree(q):
+        return all(q % (p * p) for p in range(2, math.isqrt(q) + 1))
+
+    expected = [q for q in range(3, 2001, 2) if squarefree(q)]
+    for lo, hi in [(3, 2000), (-5, 2000), (4, 1000), (9, 9), (11, 11), (50, 49),
+                   (0, 2), (1500, 1999)]:
+        assert _odd_squarefree(lo, hi) == [q for q in expected if lo <= q <= hi]
 
 
 def test_thm1_structure_q15():
@@ -142,8 +153,19 @@ def test_mean_value_campaigns_respect_threshold():
     assert rep.aggregate["max_ratio"] <= rep.aggregate["threshold"]
     rep4 = run("lemma4", seed=0, V_list=(4, 6))
     assert any("lemma4" in note for note in rep4.notes)
-    rep6 = run("lemma6", seed=0, V_list=(4,), field_max=700)
-    assert all(rec["field_size"] <= 700 for rec in rep6.records)
+    rep6 = run("lemma6", seed=0, V_list=(4,), field_max=1400)
+    assert rep6.records
+    assert all(rec["field_size"] <= 1400 for rec in rep6.records)
+
+
+def test_empty_campaign_says_why():
+    for target, kw in [("thm1", dict(r_d=5, q_min=301, q_max=300)),
+                       ("thm3", dict(r_d=5, field_max=20)),
+                       ("lemma6", dict(field_max=700))]:
+        rep = run(target, seed=1, **kw)
+        assert rep.records == [], target
+        assert rep.passed is False
+        assert EMPTY_NOTE in rep.notes
 
 
 def test_energy_campaigns():

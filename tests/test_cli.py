@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from charsumlab.campaigns import CampaignConfig, run_campaign
 from charsumlab.cli import main
 
 
@@ -88,6 +89,16 @@ def test_verify_writes_deterministic_report(capsys, tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["passed"] is True
     assert payload["records"]
+
+
+def test_verify_defaults_come_from_campaign_config(capsys, tmp_path):
+    for target, flags, settings in [("thm3", ["--r-d", "5"], {"r_d": 5}),
+                                    ("lemma5", [], {})]:
+        out = tmp_path / f"{target}.json"
+        assert main(["--out", str(out), "verify", target, *flags]) == 0
+        capsys.readouterr()
+        report = run_campaign(CampaignConfig(target=target, **settings))
+        assert out.read_bytes() == report.to_json_bytes(), target
 
 
 def test_verify_exit_code_on_fail(capsys, tmp_path):

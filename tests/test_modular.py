@@ -3,7 +3,8 @@ import pytest
 from charsumlab import (SquarefreeModulus, crt_combine, crt_split,
                         divisor_count, factor_squarefree, mod_inverse)
 from charsumlab.errors import NotInvertible, NotSquarefree, OutOfRange
-from charsumlab.modular import ResidueVector, is_probable_prime
+from charsumlab.modular import (ResidueVector, is_probable_prime, prime_factors,
+                                primes_upto)
 
 
 def naive_squarefree(q):
@@ -117,3 +118,15 @@ def test_modulus_validation():
         SquarefreeModulus(q=12, primes=(2, 2, 3))
     with pytest.raises(NotSquarefree):
         SquarefreeModulus(q=30, primes=(3, 2, 5))
+
+
+def naive_is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, n))
+
+
+def test_prime_helpers_match_trial_division():
+    primes = [p for p in range(5001) if naive_is_prime(p)]
+    for n in range(1, 5001):
+        assert prime_factors(n) == [p for p in primes if n % p == 0], n
+    for n in range(2001):
+        assert primes_upto(n) == [p for p in primes if p <= n], n
