@@ -32,7 +32,7 @@ print(f"  phi-weighted W1 = {rec['diag_W1_phi_weighted']:.2f}"
 print("\n== the complete-sum bound, exhaustively ==")
 weil = run_campaign(CampaignConfig(target="weil", seed=0, q_max=61))
 agg = weil.aggregate
-print(f"instances: {agg['instances']}   violations: {agg['total_violations']}"
+print(f"characters checked: {agg['instances']}   violations: {agg['total_violations']}"
       f"   max |sum|/bound: {agg['max_ratio']:.4f}")
 
 print("\n== mean-value ratio regression (frozen sweep) ==")

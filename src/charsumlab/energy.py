@@ -51,12 +51,14 @@ def cong_energy(q: int, M: int, N: int, U: int, method: str = "hashed",
         raise ValueError("need q >= 2, N >= 1, U >= 1")
     if N * U > q and not override_hypotheses:
         raise HypothesisViolated(f"N*U = {N * U} exceeds q = {q}")
-    units = np.asarray([u for u in range(1, U + 1) if math.gcd(u, q) == 1],
-                       dtype=np.int64)
-    if units.size == 0:
+    units = [u for u in range(1, U + 1) if math.gcd(u, q) == 1]
+    if not units:
         return 0
-    ns = np.arange(M + 1, M + N + 1, dtype=np.int64) % q
-    prods = (ns[:, None] * units[None, :]).ravel() % q
+    # a residue times a unit reaches q*U: past int64, use exact ints
+    dtype = object if q * U >= 1 << 63 else np.int64
+    ns = np.asarray([n % q for n in range(M + 1, M + N + 1)], dtype=dtype)
+    prods = (ns[:, None] * np.asarray(units, dtype=dtype)[None, :]).ravel() % q
+    prods = prods.astype(np.int64, copy=False)
     if method == "hashed":
         return _sum_of_squared_counts(prods)
     if method == "naive":
@@ -100,13 +102,17 @@ def linear_forms_energy(q: int, L: LinearSystem, H: int, U: int,
     if (H * H > q or U * U > q) and not override_hypotheses:
         raise HypothesisViolated(f"H = {H}, U = {U} must stay within sqrt({q})")
     n = L.n
-    mat = np.asarray(L.matrix, dtype=np.int64)
+    # form values reach n*max(H, U)*q and their products q^2: past int64,
+    # use exact ints
+    exact = q * q >= 1 << 63 or n * max(H, U) * q >= 1 << 63
+    dtype = object if exact else np.int64
+    mat = np.asarray([[c % q for c in row] for row in L.matrix], dtype=dtype)
 
     def box_form_values(side):
         grids = np.meshgrid(*([np.arange(1, side + 1, dtype=np.int64)] * n),
                             indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return (pts @ (mat % q).T) % q
+        return (pts.astype(dtype) @ mat.T) % q
 
     fa = box_form_values(H)
     fb = box_form_values(U)

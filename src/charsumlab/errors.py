@@ -78,5 +78,9 @@ class HypothesisViolated(CharSumLabError):
     """A stated lemma/theorem hypothesis fails and no override was given."""
 
 
+class InvalidConfig(CharSumLabError):
+    """A campaign setting lies outside its range."""
+
+
 class CacheVersionMismatch(CharSumLabError):
     """Cache file has a bad magic or unsupported version."""

@@ -210,7 +210,7 @@ def test_criterion_2_field_axioms():
 
 def test_criterion_3_weil_property():
     """Zero violations of the complete-sum bound over all primes <= 101,
-    one character per order class, exhaustive distinct-rich tuples."""
+    every nontrivial character mod p, exhaustive distinct-rich tuples."""
     started = time.time()
     cfg = CampaignConfig(target="weil", seed=0, q_max=101, r=2, tuple_cap=8)
     report = run_campaign(cfg)

@@ -51,9 +51,9 @@ DIGESTS = {
     "lemma1-seed2":
         "f0ab2b3de69f35b416fa044ba36f1553045775e93d385105ad9d4c9642ad48e9",
     "lemma2-seed1":
-        "99d873733f21eb9ccabdd0e510e054fae4d3883269e843ec186058c72e093673",
+        "5edd9c186499a73b8e1bd196df85c069f88a75118ea3d3717cd2eaf8b9b877a8",
     "lemma2-seed2":
-        "ff2f2937e53bea1d831c7b329ca208db862eb25f691bd7e27ce962fe5de5c975",
+        "b90fda0bebd5d6625bc09b968344f506566959d1c628d24f61680bcd47024b3c",
     "lemma3-seed1":
         "81191771e346699cf947677207223c4d1d44c211715e0b9dc27a285568f37dae",
     "lemma3-seed2":
@@ -127,9 +127,9 @@ DIGESTS = {
     "thm5-seed2":
         "6af866c0986117d2e0467e1e66d2c0f93d7f2f2ed750e95ab395f02cd63081ce",
     "weil-seed1":
-        "47fd9d4bf97e65f5f46a306b01c073864bd6ad19d889377509aca2b2fa7e216a",
+        "0f9ce0653e4964b17487e010ed849da388be8c0a522240d5efb9b9cb9fd5f0d0",
     "weil-seed2":
-        "c1803fd6c11992f7aebdafdf9e1bbeeb5553101b53672bfc6969d26078d92c19",
+        "e0cc40261b8b15ad8fb6f701500d7f4286ed1d3ff28329c71624181d7726ee7c",
 }
 
 

@@ -1,18 +1,22 @@
 import itertools
 import json
 import math
+import random
+import signal
 
 import pytest
 
-from charsumlab.campaigns import (EMPTY_NOTE, CampaignConfig,
+from charsumlab.campaigns import (CAMPAIGNS, EMPTY_NOTE, CampaignConfig,
                                   _first_primitive_character, _odd_squarefree,
                                   chang_epsilon,
                                   compare_exponents, phi_factor, run_campaign,
                                   sample_phase_poly, theorem_exponent)
 from charsumlab.characters import enumerate_primitive_characters
-from charsumlab.errors import (DegenerateDenominator, HypothesisViolated,
-                               IndexOutOfRange)
+from charsumlab.errors import (CharSumLabError, DegenerateDenominator,
+                               HypothesisViolated, IndexOutOfRange, InvalidConfig,
+                               RangeViolation)
 from charsumlab.modular import factor_squarefree
+from charsumlab.reports import VerificationReport
 from charsumlab.rng import SplitMix64, point_hash
 
 
@@ -200,6 +204,9 @@ def test_compare_exponents_degenerate():
         theorem_exponent("thm2", 3, 2)
     with pytest.raises(DegenerateDenominator):
         theorem_exponent("thm1", 1, 2)  # r <= D/2
+    for N, q in [(0, 1000), (100, 1), (100, 0)]:  # log N or log q undefined or 0
+        with pytest.raises(RangeViolation):
+            compare_exponents(N=N, q=q, d=2, r=5, delta=0.05)
     assert chang_epsilon(0.05, 2) == pytest.approx(5.1652892561983474e-05, abs=1e-15)
 
 
@@ -237,3 +244,72 @@ def test_lemma3_character_is_first_primitive():
         assert _first_primitive_character(q).indices == first.indices
     with pytest.raises(IndexOutOfRange):
         _first_primitive_character(30)
+
+
+def test_config_ranges_are_checked_once():
+    for kw in [dict(d=0), dict(r=0), dict(n_dims=0), dict(grid=0), dict(V_phi=0),
+               dict(samples=-1), dict(N=0), dict(V_list=(4, 0))]:
+        with pytest.raises(InvalidConfig):
+            CampaignConfig(target="thm1", **kw)
+    assert CampaignConfig(target="thm1", samples=0, r=None, N=None).samples == 0
+
+
+# settings drawn by the fuzz test: every value here is in range ...
+FUZZ_VALUES = dict(
+    d=(1, 2, 3), r=(None, 1, 2, 3, 5), r_d=(None, 1, 3, 5, 8), s=(0, 1, 2, 3),
+    n_dims=(1, 2, 3), q_min=(0, 3, 50), q_max=(2, 13, 31, 100),
+    field_max=(20, 200, 1400), samples=(0, 1, 3), chars_per_modulus=(0, 1, 3),
+    V_list=(None, (), (1,), (4,), (2, 5)), V_phi=(1, 7, 60), tuple_cap=(0, 1, 3, 8),
+    grid=(1, 16), N=(None, 1, 50), delta=(0.0, 0.05), slack=(0.0, 0.2),
+    constant=(None, 0.5), budget=(10**4, 10**7), diagnostics=(False, True))
+# ... and these are degenerate, one of which replaces a drawn value half the time
+FUZZ_DEGENERATE = dict(
+    d=(0, -1), r=(0, -1), r_d=(0, -1), s=(-1,), n_dims=(0,), q_min=(-5,),
+    q_max=(-1, 0, 1), field_max=(0,), samples=(-1,), chars_per_modulus=(-1,),
+    V_list=((0,), (-3,)), V_phi=(0, -1), tuple_cap=(-1,), grid=(0, -1), N=(0, -2),
+    budget=(0,))
+# lemma7-9 run fixed sweeps that read none of these settings, and lemma8's
+# alone would take most of the test's time
+FUZZ_TARGETS = sorted(set(CAMPAIGNS) - {"lemma7", "lemma8", "lemma9"})
+FUZZ_CONFIGS = 150
+FUZZ_SECONDS_PER_CONFIG = 5
+
+
+class _TimeCap(Exception):
+    pass
+
+
+def _fuzz_config(rng: random.Random) -> dict:
+    kw = {name: rng.choice(values) for name, values in FUZZ_VALUES.items()}
+    if rng.random() < 0.5:
+        name = rng.choice(sorted(FUZZ_DEGENERATE))
+        kw[name] = rng.choice(FUZZ_DEGENERATE[name])
+    return dict(kw, target=rng.choice(FUZZ_TARGETS), seed=rng.randrange(100))
+
+
+def test_fuzz_configs_return_a_report_or_a_library_error():
+    """Small random configs, with degenerate values mixed in, either give a
+    report or raise CharSumLabError; a config past the time cap is dropped."""
+    def on_alarm(signum, frame):
+        raise _TimeCap
+
+    rng = random.Random(20240601)
+    outcomes = {"report": 0, "error": 0, "capped": 0}
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        for _ in range(FUZZ_CONFIGS):
+            kw = _fuzz_config(rng)
+            signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS_PER_CONFIG)
+            try:
+                assert isinstance(run_campaign(CampaignConfig(**kw)), VerificationReport)
+                outcomes["report"] += 1
+            except CharSumLabError:
+                outcomes["error"] += 1
+            except _TimeCap:
+                outcomes["capped"] += 1
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes["report"] > FUZZ_CONFIGS // 4, outcomes
+    assert outcomes["error"] > FUZZ_CONFIGS // 4, outcomes

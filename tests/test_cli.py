@@ -158,3 +158,14 @@ def test_stray_value_error_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "phi", "--V-phi", "0"],
+                                  ["verify", "thm1", "--r-d", "5", "--d", "0"],
+                                  ["verify", "smoothing", "--grid", "0"],
+                                  ["verify", "thm1", "--r-d", "5", "--samples", "-1"]])
+def test_degenerate_config_exits_2(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

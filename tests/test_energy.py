@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -119,3 +122,34 @@ def test_energy_is_sum_of_squared_multiplicities():
             c = n * u % q
             mult[c] = mult.get(c, 0) + 1
     assert cong_energy(q, M, N, U) == sum(m * m for m in mult.values())
+
+
+def test_cong_energy_wide_modulus_exact():
+    # residue times unit reaches q*U > 2^63, past int64
+    q, M, N, U = 2**61 - 1, 2**61 - 11, 5, 7
+    tally = Counter(n % q * u % q for n in range(M + 1, M + N + 1)
+                    for u in range(1, U + 1))
+    assert sum(c * c for c in tally.values()) == 47
+    assert cong_energy(q, M, N, U) == 47
+    assert cong_energy(q, M, N, U, method="naive") == 47
+
+
+def test_linear_forms_energy_wide_modulus_exact():
+    # form values and their products reach q^2 > 2^63, past int64
+    q, H = 1099511627791, 6
+    box = list(itertools.product(range(1, H + 1), repeat=2))
+    rng = random.Random(0)
+    for _ in range(3):
+        while True:
+            mat = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
+            if (mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]) % q:
+                break
+        forms = {x: [sum(c * xi for c, xi in zip(row, x)) % q for row in mat]
+                 for x in box}
+        tally = Counter(tuple(a * b % q for a, b in zip(forms[x], forms[y]))
+                        for x in box for y in box)
+        expected = sum(c * c for c in tally.values())
+        assert linear_forms_energy(q, LinearSystem(mat), H, H) == expected
+    small = LinearSystem(((q // 2, 3), (q // 3, 7)))
+    assert (linear_forms_energy(q, small, 3, 3)
+            == linear_forms_energy(q, small, 3, 3, method="naive"))
