@@ -12,26 +12,20 @@ from .cache import cache_clear, cache_ls, get_j_count
 from .campaigns import (CampaignConfig, chang_epsilon, compare_exponents,
                         phi_factor, run_campaign, theorem_exponent)
 from .characters import (DirichletCharacter, PrimeCharacter,
-                         build_prime_character, char_eval, crt_character,
+                         build_prime_character, crt_character,
                          enumerate_primitive_characters, find_primitive_root,
                          principal_character)
 from .energy import EnergyInstance, cong_energy, ff_box_energy, linear_forms_energy
 from .ffield import (FieldCharacter, FieldElement, FieldSpec, additive_char,
-                     box_elements, build_field, fadd, finv, fmul,
-                     poly_on_field, trace)
-from .meanvalues import (PowerSumKey, VinogradovParams, exact_W_field,
-                         exact_W_multichar, exact_W_squarefree,
-                         expansion_W_reference, iterate_solutions, lemma_rhs,
-                         power_sum_key, quadrature_W_reference,
-                         split_solutions, vinogradov_count_mitm,
-                         vinogradov_count_naive)
+                     box_elements, build_field, fadd, fmul, trace)
+from .meanvalues import (VinogradovParams, exact_W_field, exact_W_multichar,
+                         exact_W_squarefree, lemma_rhs, quadrature_W_reference,
+                         vinogradov_count_mitm, vinogradov_count_naive)
 from .modular import (ResidueVector, SquarefreeModulus, crt_combine, crt_split,
                       divisor_count, factor_squarefree, mod_inverse)
 from .reports import VerificationReport, emit_report
-from .sums import (LinearSystem, RealPolynomial, TupleSpec, box_mixed_sum,
-                   complete_rational_char_sum,
-                   complete_rational_char_sum_field, difference_product,
-                   eval_fraction, eval_phase, linear_forms_mixed_sum,
-                   mixed_sum, multi_char_mixed_sum, pairwise_sum)
+from .sums import (LinearSystem, RealPolynomial, box_mixed_sum, eval_fraction,
+                   eval_phase, linear_forms_mixed_sum, mixed_sum,
+                   multi_char_mixed_sum, pairwise_sum)
 
 __version__ = "0.1.0"

@@ -24,6 +24,12 @@ FROZEN_RATIO_THRESHOLDS: dict[str, float] = {
     "lemma9": 14.275973150583473 * HEADROOM,
 }
 
+# the sweep those ratios were measured on: calibrate_thresholds runs every
+# target at its defaults, so lemma3, lemma5 and lemma6 ran at r = d = 2 over
+# every V of campaigns.DEFAULT_V_SWEEP; lemma7..lemma9 sweeps are fixed
+SWEEP_R = 2
+SWEEP_D = 2
+
 
 def calibrate_thresholds(targets=("lemma3", "lemma5", "lemma6", "lemma7",
                                   "lemma8", "lemma9"), seed: int = 0) -> dict:

@@ -152,13 +152,37 @@ def _ratio_aggregate(records: list[dict]) -> dict:
     return agg
 
 
-def _threshold_for(cfg: CampaignConfig) -> float | None:
+def _off_sweep(cfg: CampaignConfig) -> list[str]:
+    """The settings that take cfg's instances outside the sweep the frozen
+    thresholds were calibrated on; q_max and field_max only trim fixed
+    moduli and field lists, so they never do."""
+    if cfg.target not in ("lemma3", "lemma5", "lemma6"):
+        return []
+    r = cfg.r if cfg.r is not None else 2
+    off = []
+    if r != calibration.SWEEP_R:
+        off.append(f"r = {r}")
+    if cfg.d != calibration.SWEEP_D:
+        off.append(f"d = {cfg.d}")
+    if not set(_v_sweep(cfg)) <= set(DEFAULT_V_SWEEP):
+        off.append(f"V_list = {tuple(cfg.V_list)}")
+    return off
+
+
+def _threshold_for(cfg: CampaignConfig) -> tuple[float | None, list[str]]:
+    """The pass threshold and any note on why a frozen one was not applied."""
     if cfg.constant is not None:
-        return cfg.constant * (1.0 + cfg.slack)
+        return cfg.constant * (1.0 + cfg.slack), []
     frozen = calibration.FROZEN_RATIO_THRESHOLDS.get(cfg.target)
-    if frozen is not None:
-        return frozen * (1.0 + cfg.slack)
-    return None
+    if frozen is None:
+        return None, []
+    off = _off_sweep(cfg)
+    if off:
+        return None, [
+            f"no frozen threshold applied: {', '.join(off)} leaves the calibration "
+            f"sweep (r = {calibration.SWEEP_R}, d = {calibration.SWEEP_D}, "
+            f"V in {DEFAULT_V_SWEEP}), so only the sanity checks decide the pass"]
+    return frozen * (1.0 + cfg.slack), []
 
 
 _EXECUTION_ONLY_FIELDS = ("threads", "out", "csv")
@@ -173,7 +197,8 @@ def _finish(cfg: CampaignConfig, records, notes, extra_pass: bool = True,
               and all(rec.get("sanity_ok", True) for rec in records))
     if not records:
         notes = [*notes, EMPTY_NOTE]
-    threshold = _threshold_for(cfg)
+    threshold, threshold_notes = _threshold_for(cfg)
+    notes = [*notes, *threshold_notes]
     if threshold is not None and "max_ratio" in aggregate:
         aggregate["threshold"] = threshold
         passed = passed and aggregate["max_ratio"] <= threshold
@@ -390,12 +415,17 @@ def _thm4_campaign(cfg: CampaignConfig) -> VerificationReport:
         raise HypothesisViolated(
             f"thm4 needs two primes >= 11 up to q_max = {cfg.q_max}")
     instances = []
+    small_q = low_cap = 0  # samples failing each box hypothesis
     for _ in range(cfg.samples):
         i = rng.next_below(len(primes) - 1)
         qs = ([primes[i], primes[i + 1]] + [primes[i]] * n)[:n]
         lower = math.prod(qs) ** (1 / (2 * (r - D)))
         uppers = [qi ** (0.5 + 1 / (4 * (r - D))) for qi in qs]
-        if any(qi <= lower for qi in qs) or any(u < lower for u in uppers):
+        bad_q = any(qi <= lower for qi in qs)
+        bad_cap = any(u < lower for u in uppers)
+        small_q += bad_q
+        low_cap += bad_cap
+        if bad_q or bad_cap:
             continue
         Hs = [max(int(u), int(math.ceil(lower)), 1) for u in uppers]
         Ms = [rng.next_below(qi) for qi in qs]
@@ -411,7 +441,12 @@ def _thm4_campaign(cfg: CampaignConfig) -> VerificationReport:
                              q_list=qs, char_indices=[c.indices[0] for c in chis],
                              poly=_poly_payload(F), M_list=Ms, H_list=Hs)
 
-    return _run(cfg, instances, evaluate, _theorem_notes())
+    rejected = cfg.samples - len(instances)
+    notes = [] if not rejected else [
+        f"{rejected} of {cfg.samples} samples failed the box hypotheses and were "
+        f"skipped: {small_q} had some q_i <= (prod q)^(1/(2(r-D))), {low_cap} a side "
+        "cap q_i^(1/2 + 1/(4(r-D))) below that bound"]
+    return _run(cfg, instances, evaluate, _theorem_notes(notes))
 
 
 def _thm5_campaign(cfg: CampaignConfig) -> VerificationReport:

@@ -26,8 +26,6 @@ from .modular import SquarefreeModulus, is_probable_prime, prime_factors
 PRIME_TABLE_BOUND = 1 << 24
 ENUMERATION_BOUND = 10**5
 
-_TWO_PI = 2.0 * math.pi
-
 
 def find_primitive_root(p: int) -> int:
     """Smallest primitive root mod a prime p <= 2^24."""
@@ -74,14 +72,6 @@ class PrimeCharacter:
     @property
     def order(self) -> int:
         return (self.p - 1) // math.gcd(self.t, self.p - 1) if self.p > 2 else 1
-
-    def value(self, n: int) -> complex:
-        k = int(self.dlog[n % self.p])
-        if k < 0:
-            return 0j
-        span = max(self.p - 1, 1)
-        theta = _TWO_PI * ((self.t * k) % span) / span
-        return complex(math.cos(theta), math.sin(theta))
 
     def angle_and_mask(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Angle in turns of chi(values) plus the unit mask (False where 0)."""
@@ -151,11 +141,6 @@ class DirichletCharacter:
 
     def value(self, n: int) -> complex:
         return complex(self.value_many(np.asarray([n]))[0])
-
-
-def char_eval(chi: DirichletCharacter, n: int) -> complex:
-    """chi(n): a unit-modulus complex number when gcd(n, q) = 1, else 0."""
-    return chi.value(n)
 
 
 def crt_character(m: SquarefreeModulus, indices) -> DirichletCharacter:

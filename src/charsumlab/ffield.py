@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxTooLarge, DivisionByZero, NotPrime, TooLarge
+from .errors import BoxTooLarge, NotPrime, TooLarge
 from .modular import is_probable_prime, mod_inverse, prime_factors
 
 FIELD_SIZE_BOUND = 1 << 26
@@ -248,11 +248,6 @@ class FieldSpec:
             encs = encs * self.q + digits[..., i] % self.q
         return encs
 
-    def add_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da = self.digits_of(a)
-        db = self.digits_of(b)
-        return self.encode_digits((da + db) % self.q)
-
     def add_scalar_many(self, encs: np.ndarray, c: int) -> np.ndarray:
         """enc + c*1: only the constant digit moves."""
         encs = np.asarray(encs, dtype=np.int64)
@@ -294,12 +289,6 @@ class FieldSpec:
         return (digits @ self._basis_traces) % self.q
 
     # -- working-basis coordinates ---------------------------------------
-    def coords(self, x: FieldElement) -> tuple[int, ...]:
-        """Coordinates of x in the working basis."""
-        v = x.coeffs
-        return tuple(sum(v[j] * self.basis_inv[j][i] for j in range(self.n)) % self.q
-                     for i in range(self.n))
-
     def from_coords(self, h) -> FieldElement:
         c = [0] * self.n
         for hi, row in zip(h, self.basis):
@@ -327,16 +316,6 @@ def fadd(a: FieldElement, b: FieldElement) -> FieldElement:
 
 def fmul(a: FieldElement, b: FieldElement) -> FieldElement:
     return FieldElement(a.spec, a.spec.mul_coeffs(a.coeffs, b.coeffs))
-
-
-def finv(a: FieldElement) -> FieldElement:
-    if a.is_zero():
-        raise DivisionByZero("inverse of 0")
-    spec = a.spec
-    k = int(spec.dlog[a.encoding])
-    if k == 0:
-        return spec.one()
-    return spec.from_encoding(int(spec.exp[spec.size - 1 - k]))
 
 
 def trace(spec: FieldSpec, x: FieldElement) -> int:
@@ -457,16 +436,6 @@ def box_encodings(spec: FieldSpec, H: int) -> np.ndarray:
     return spec.encode_digits(digits)
 
 
-def poly_on_field(spec: FieldSpec, F, x: FieldElement) -> float:
-    """F at the working-basis coordinate vector of x, reduced mod 1."""
-    from .sums import eval_fraction
-    from .errors import ArityMismatch
-
-    if F.nvars != spec.n:
-        raise ArityMismatch(f"polynomial has {F.nvars} variables, field degree is {spec.n}")
-    return eval_fraction(F, spec.coords(x))
-
-
 @dataclass(frozen=True, eq=False)
 class FieldCharacter:
     """Multiplicative character of GF(q^n) with index t in [0, q^n - 1)."""
@@ -479,10 +448,6 @@ class FieldCharacter:
             from .errors import IndexOutOfRange
 
             raise IndexOutOfRange(f"index {self.t} outside [0, {self.spec.size - 1})")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.t == 0
 
     @property
     def order(self) -> int:

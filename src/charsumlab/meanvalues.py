@@ -10,18 +10,18 @@ path.  The r-th power of the short sum is a trigonometric polynomial
 whose frequencies are the power-sum keys of r-multisets of [1, V];
 orthogonality of e^(2 pi i alpha k) turns the integral into its Gram
 form, one squared modulus per (lambda, key), so W is an exact,
-nonnegative finite sum.  Independent oracles stay beside the table: the
-full 2r-fold count of J, the solution-set expansion of W into complete
-character sums, and a Riemann-sum reference for d = 1.
+nonnegative finite sum.  Two independent oracles stay beside the table:
+the full 2r-fold count of J and a Riemann-sum reference for W at d = 1.
+The expansion of W over the solution set into complete character sums is
+a test oracle outside the package (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .characters import DirichletCharacter
 from .errors import (BudgetExceeded, MissingCount, RangeViolation,
                      UnsupportedDegree)
 from .ffield import FieldCharacter
-from .sums import (TupleSpec, complete_rational_char_sum,
-                   complete_rational_char_sum_field, pairwise_sum)
+from .sums import pairwise_sum
 
 DEFAULT_TUPLE_BUDGET = 10**9
 DEFAULT_SOLUTION_BUDGET = 10**7
@@ -47,13 +46,6 @@ class VinogradovParams:
     def __post_init__(self):
         if self.r < 1 or self.d < 1 or self.V < 1:
             raise ValueError("r, d, V must all be >= 1")
-
-
-@dataclass(frozen=True)
-class PowerSumKey:
-    """The d-vector of power sums of an r-tuple, the meet-in-the-middle key."""
-
-    sums: tuple[int, ...]
 
 
 def vinogradov_count_naive(p: VinogradovParams, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
@@ -146,53 +138,6 @@ def vinogradov_count_mitm(p: VinogradovParams, budget: int = DEFAULT_TUPLE_BUDGE
     if r * V**r > budget:
         raise BudgetExceeded(f"r * V^r = {r * V ** r} exceeds budget {budget}")
     return _multiset_table(p)[3]
-
-
-def power_sum_key(half: Sequence[int], d: int) -> PowerSumKey:
-    """Power sums of one half-tuple, degrees 1 through d."""
-    return PowerSumKey(tuple(sum(x**i for x in half) for i in range(1, d + 1)))
-
-
-def _solution_groups(p: VinogradovParams) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for half in itertools.product(range(1, p.V + 1), repeat=p.r):
-        groups.setdefault(power_sum_key(half, p.d).sums, []).append(half)
-    return groups
-
-
-def iterate_solutions(p: VinogradovParams,
-                      budget: int = DEFAULT_SOLUTION_BUDGET) -> Iterator[TupleSpec]:
-    """Yield every solution tuple exactly once, in lexicographic order."""
-    groups = _solution_groups(p)
-    total = sum(len(halves) ** 2 for halves in groups.values())
-    if total > budget:
-        raise BudgetExceeded(f"J = {total} solutions exceed budget {budget}")
-
-    def gen():
-        for key in sorted(groups):
-            halves = groups[key]
-            for left in halves:
-                for right in halves:
-                    yield TupleSpec(r=p.r, v=left + right)
-
-    return gen()
-
-
-def has_many_distinct(v: Sequence[int], r: int) -> bool:
-    """True when the tuple has at least r + 1 distinct entries."""
-    return len(set(v)) >= r + 1
-
-
-def split_solutions(p: VinogradovParams, budget: int = DEFAULT_SOLUTION_BUDGET):
-    """Partition the solution set by the r + 1 distinct-entries threshold.
-
-    Returns (spread, clustered): tuples with at least r + 1 distinct
-    entries, then everything else (the near-diagonal family).
-    """
-    spread, clustered = [], []
-    for t in iterate_solutions(p, budget=budget):
-        (spread if has_many_distinct(t.v, p.r) else clustered).append(t)
-    return spread, clustered
 
 
 # ----------------------------------------------------------------------
@@ -331,40 +276,3 @@ def quadrature_W_reference(chi, beta, p: VinogradovParams, grid: int = 2**14,
         S = T @ phases
         total += float((np.abs(S) ** (2 * p.r)).sum())
     return total / grid
-
-
-def expansion_W_reference(chi, beta, p: VinogradovParams,
-                          budget: int = DEFAULT_SOLUTION_BUDGET,
-                          allow_large_weights: bool = False) -> float:
-    """W by the solution-set expansion: one complete sum per pair of
-    canonical (sorted) halves with equal power-sum keys, weighted by the
-    pair's multiplicity.  `chi` is a Dirichlet character, a list of
-    prime-modulus characters, or a field character."""
-    if isinstance(chi, FieldCharacter):
-        def complete_sum(t):
-            return complete_rational_char_sum_field(chi, t)
-    elif isinstance(chi, DirichletCharacter):
-        def complete_sum(t):
-            return complete_rational_char_sum(chi, t)
-    else:
-        def complete_sum(t):
-            return math.prod(complete_rational_char_sum(c, t) for c in chi)
-    beta = _check_weights(beta, p.V, allow_large_weights)
-    groups = _solution_groups(p)
-    total_solutions = sum(len(halves) ** 2 for halves in groups.values())
-    if total_solutions > budget:
-        raise BudgetExceeded(f"J = {total_solutions} solutions exceed budget {budget}")
-    terms = []
-    for key in sorted(groups):
-        tally: dict[tuple[int, ...], int] = {}
-        for half in groups[key]:
-            canon = tuple(sorted(half))
-            tally[canon] = tally.get(canon, 0) + 1
-        items = sorted(tally.items())
-        weights = [count * math.prod(beta[v - 1] for v in canon)
-                   for canon, count in items]
-        for (left, _), wl in zip(items, weights):
-            for (right, _), wr in zip(items, weights):
-                csum = complete_sum(TupleSpec(r=p.r, v=left + right))
-                terms.append(wl * np.conjugate(wr) * csum)
-    return float(pairwise_sum(np.asarray(terms, dtype=np.complex128)).real)

@@ -222,9 +222,6 @@ class LinearSystem:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def forms_at(self, h) -> tuple[int, ...]:
-        return tuple(sum(c * x for c, x in zip(row, h)) for row in self.matrix)
-
     def check_invertible_mod(self, q: int):
         if math.gcd(self.determinant() % q, q) != 1:
             raise SingularSystem(f"det = {self.determinant()} shares a factor with {q}")
@@ -253,79 +250,3 @@ def linear_forms_mixed_sum(chi: DirichletCharacter, L: LinearSystem,
     values = chi.value_many(prods.astype(np.int64))
     phases = _phase_array(F, [tuple(map(int, row)) for row in pts])
     return pairwise_sum(values * phases)
-
-
-# ----------------------------------------------------------------------
-# complete sums over shifted tuples
-
-@dataclass(frozen=True)
-class TupleSpec:
-    """A 2r-tuple of shifts (v_1, ..., v_2r), halves of length r each."""
-
-    r: int
-    v: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.r < 1 or len(self.v) != 2 * self.r:
-            raise ValueError("need exactly 2r entries")
-        if any(x < 1 for x in self.v):
-            raise ValueError("entries must be >= 1")
-
-    @property
-    def left(self) -> tuple[int, ...]:
-        return self.v[: self.r]
-
-    @property
-    def right(self) -> tuple[int, ...]:
-        return self.v[self.r:]
-
-
-def difference_product(spec: TupleSpec, i: int) -> int:
-    """prod over j != i of (v_i - v_j); zero iff v_i repeats (i is 1-based)."""
-    if not 1 <= i <= 2 * spec.r:
-        raise IndexError(f"i = {i} outside [1, {2 * spec.r}]")
-    vi = spec.v[i - 1]
-    out = 1
-    for j, vj in enumerate(spec.v, start=1):
-        if j != i:
-            out *= vi - vj
-    return out
-
-
-def complete_rational_char_sum(chi: DirichletCharacter, tspec: TupleSpec) -> complex:
-    """Sum over lambda in [1, q] of chi at the shifted-product ratio.
-
-    chi of a ratio means chi(numerator) * conj(chi(denominator)); any
-    lambda at which some factor shares a divisor with q contributes 0.
-    For squarefree q this makes the sum factor exactly through the prime
-    components.
-    """
-    q = chi.q
-    lam = np.arange(1, q + 1, dtype=np.int64)
-    ang = np.zeros(q, dtype=np.float64)
-    mask = np.ones(q, dtype=bool)
-    for pos, v in enumerate(tspec.v):
-        a, m = chi.angle_and_mask(lam + v)
-        mask &= m
-        if pos < tspec.r:
-            ang += a
-        else:
-            ang -= a
-    return pairwise_sum(np.exp(2j * np.pi * ang) * mask)
-
-
-def complete_rational_char_sum_field(chi: FieldCharacter, tspec: TupleSpec) -> complex:
-    """Field version: lambda ranges over GF(q^n), shifts embed as v mod q."""
-    spec = chi.spec
-    encs = np.arange(spec.size, dtype=np.int64)
-    ang = np.zeros(spec.size, dtype=np.float64)
-    mask = np.ones(spec.size, dtype=bool)
-    for pos, v in enumerate(tspec.v):
-        shifted = spec.add_scalar_many(encs, v % spec.q)
-        a, m = chi.angle_and_mask(shifted)
-        mask &= m
-        if pos < tspec.r:
-            ang += a
-        else:
-            ang -= a
-    return pairwise_sum(np.exp(2j * np.pi * ang) * mask)

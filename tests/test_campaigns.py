@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+from charsumlab import calibration
 from charsumlab.campaigns import (CAMPAIGNS, EMPTY_NOTE, CampaignConfig,
                                   _first_primitive_character, _odd_squarefree,
                                   chang_epsilon,
@@ -160,6 +161,43 @@ def test_mean_value_campaigns_respect_threshold():
     rep6 = run("lemma6", seed=0, V_list=(4,), field_max=1400)
     assert rep6.records
     assert all(rec["field_size"] <= 1400 for rec in rep6.records)
+
+
+def test_frozen_threshold_only_on_calibration_sweep():
+    # r = 3 ratios run well above the frozen r = 2 thresholds; they are data
+    for target, kw in [("lemma3", dict(r=3, V_list=(4, 8))),
+                       ("lemma5", dict(r=3, V_list=(4, 8))),
+                       ("lemma6", dict(d=3, V_list=(4,), field_max=1400)),
+                       ("lemma3", dict(V_list=(4, 5)))]:
+        rep = run(target, seed=0, **kw)
+        assert "threshold" not in rep.aggregate, (target, kw)
+        assert rep.passed, (target, kw)
+        assert any(note.startswith("no frozen threshold applied") for note in rep.notes)
+    # a subset of the sweep keeps the frozen threshold; a configured one always applies
+    rep = run("lemma6", seed=0, V_list=(8, 4), field_max=1400)
+    assert rep.aggregate["threshold"] == calibration.FROZEN_RATIO_THRESHOLDS["lemma6"]
+    rep = run("lemma3", seed=0, r=3, V_list=(4,), constant=1.0)
+    assert rep.aggregate["threshold"] == 1.0 and not rep.passed
+
+
+def test_frozen_thresholds_match_a_fresh_calibration():
+    measured = calibration.calibrate_thresholds()
+    assert set(measured) == set(calibration.FROZEN_RATIO_THRESHOLDS)
+    for target, frozen in calibration.FROZEN_RATIO_THRESHOLDS.items():
+        assert measured[target] == pytest.approx(frozen / calibration.HEADROOM,
+                                                 rel=1e-12), target
+
+
+def test_thm4_says_why_samples_were_rejected():
+    rep = run("thm4", seed=0, r_d=5, n_dims=3)
+    assert rep.records == [] and not rep.passed
+    assert EMPTY_NOTE in rep.notes
+    assert any(note.startswith("5 of 5 samples failed the box hypotheses") and
+               "0 had some q_i" in note and "5 a side cap" in note
+               for note in rep.notes)
+    accepted = run("thm4", seed=0, r_d=8, n_dims=3)
+    assert len(accepted.records) == 5
+    assert not any("box hypotheses" in note for note in accepted.notes)
 
 
 def test_empty_campaign_says_why():

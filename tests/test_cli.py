@@ -109,16 +109,24 @@ def test_verify_exit_code_on_fail(capsys, tmp_path):
 
 
 def test_cross_process_report_determinism(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import charsumlab
+
+    # the child imports the same charsumlab as this process
+    src = str(Path(charsumlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outs = []
     for name in ("p1.json", "p2.json"):
         out = tmp_path / name
         cmd = [sys.executable, "-m", "charsumlab.cli", "--seed", "21",
                "--out", str(out), "verify", "thm3", "--r-d", "5", "--d", "2",
                "--samples", "2"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -5,14 +5,13 @@ import pytest
 
 from charsumlab import (FieldCharacter, VinogradovParams, build_field,
                         crt_character, exact_W_field, exact_W_multichar,
-                        exact_W_squarefree, expansion_W_reference,
-                        factor_squarefree, iterate_solutions, lemma_rhs,
-                        quadrature_W_reference, split_solutions,
-                        vinogradov_count_mitm, vinogradov_count_naive)
+                        exact_W_squarefree, factor_squarefree, lemma_rhs,
+                        quadrature_W_reference, vinogradov_count_mitm,
+                        vinogradov_count_naive)
 from charsumlab.errors import (BudgetExceeded, MissingCount, RangeViolation,
                                UnsupportedDegree)
-from charsumlab.meanvalues import (_multiset_table, _multisets,
-                                   has_many_distinct, power_sum_key)
+from charsumlab.meanvalues import _multiset_table, _multisets
+from oracles import _solution_groups, expansion_W_reference
 
 P = VinogradovParams
 
@@ -103,30 +102,18 @@ def test_count_bounds_and_monotonicity():
                 <= vinogradov_count_mitm(P(2, d, 8)))
 
 
-def test_iterate_solutions():
-    sols = list(iterate_solutions(P(1, 1, 3)))
-    assert sorted(t.v for t in sols) == [(1, 1), (2, 2), (3, 3)]
-    sols22 = list(iterate_solutions(P(2, 2, 3)))
-    assert len(sols22) == 15
-    assert len({t.v for t in sols22}) == 15
-    spread, clustered = split_solutions(P(2, 2, 3))
-    assert len(spread) == 0 and len(clustered) == 15
-    spread1, clustered1 = split_solutions(P(2, 1, 3))
-    assert len(spread1) + len(clustered1) == 19
-    assert all(has_many_distinct(t.v, 2) for t in spread1)
-    with pytest.raises(BudgetExceeded):
-        list(iterate_solutions(P(2, 1, 50), budget=100))
-
-
 def test_solution_permutation_closure():
-    sols = {t.v for t in iterate_solutions(P(2, 1, 4))}
+    sols = {left + right for halves in _solution_groups(P(2, 1, 4)).values()
+            for left in halves for right in halves}
     for v in sols:
         assert (v[1], v[0], v[2], v[3]) in sols
         assert (v[2], v[3], v[0], v[1]) in sols
 
 
 def test_power_sum_key():
-    assert power_sum_key((2, 3), 2).sums == (5, 13)
+    groups = _solution_groups(P(2, 2, 3))
+    assert sorted(groups[(5, 13)]) == [(2, 3), (3, 2)]
+    assert sum(len(halves) ** 2 for halves in groups.values()) == 15
 
 
 def test_exact_w_diagonal_cases():

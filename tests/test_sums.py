@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from charsumlab import (FieldCharacter, LinearSystem, RealPolynomial,
-                        TupleSpec, box_mixed_sum, build_field,
-                        complete_rational_char_sum,
-                        complete_rational_char_sum_field, crt_character,
-                        difference_product, enumerate_primitive_characters,
-                        eval_fraction, eval_phase, factor_squarefree,
-                        linear_forms_mixed_sum, mixed_sum,
-                        multi_char_mixed_sum, pairwise_sum)
+                        box_mixed_sum, build_field, crt_character,
+                        enumerate_primitive_characters, eval_fraction,
+                        eval_phase, factor_squarefree, linear_forms_mixed_sum,
+                        mixed_sum, multi_char_mixed_sum, pairwise_sum)
 from charsumlab.errors import (ArityMismatch, PrecisionOverflow,
                                SingularSystem)
+from oracles import (TupleSpec, complete_rational_char_sum,
+                     complete_rational_char_sum_field, difference_product)
 
 
 def chi_mod(q, indices):

@@ -3,8 +3,10 @@
 The oracle is the campaign's earlier evaluation: for one prime p and one
 character index t it sums exp(2 pi i * angle) over every rich tuple and
 every lambda, with the angles of chi_t read in floating point, and takes
-no tuple classes.  The kernel's sums come from an FFT of integer
-histograms, so they agree to a tolerance, not bitwise.
+no tuple classes.  Its bounds come from the scalar difference products
+and math.gcd, not from the campaign's vectorized ones.  The kernel's sums
+come from an FFT of integer histograms, so they agree to a tolerance, not
+bitwise.
 """
 
 import math
@@ -12,16 +14,29 @@ import math
 import numpy as np
 import pytest
 
-from charsumlab.campaigns import (CampaignConfig, _difference_products,
-                                  _distinct_rich_tuples, _tuple_classes,
-                                  _tuple_gcd_bounds, run_campaign)
+from charsumlab.campaigns import (CampaignConfig, _distinct_rich_tuples,
+                                  _tuple_classes, run_campaign)
 from charsumlab.characters import crt_character
 from charsumlab.modular import factor_squarefree, primes_upto
+from oracles import TupleSpec, difference_product
 
 REL_TOL = 1e-12
 
 
-def oracle_record(p: int, t: int, tuples: np.ndarray, r: int) -> dict:
+def oracle_bounds(p: int, tuples: np.ndarray, r: int) -> np.ndarray:
+    """(2r-1) * gcd(p, A_i)^(1/2) * p^(1/2) per tuple, with the least gcd
+    over the i whose A_i is nonzero."""
+    bounds = []
+    for row in tuples.tolist():
+        t = TupleSpec(r=r, v=tuple(row))
+        products = [difference_product(t, i) for i in range(1, 2 * r + 1)]
+        gcd = min(math.gcd(p, a) for a in products if a != 0)
+        bounds.append((2 * r - 1) * math.sqrt(gcd) * math.sqrt(p))
+    return np.asarray(bounds)
+
+
+def oracle_record(p: int, t: int, tuples: np.ndarray, r: int,
+                  bounds: np.ndarray) -> dict:
     """The weil record of (p, t), with ties within REL_TOL going to the
     first tuple in enumeration order."""
     comp = crt_character(factor_squarefree(p), (t,)).components[0]
@@ -37,8 +52,6 @@ def oracle_record(p: int, t: int, tuples: np.ndarray, r: int) -> dict:
         else:
             ang -= ang_table[idx]
     sums = np.abs((np.exp(2j * np.pi * ang) * mask).sum(axis=1))
-    gcds = _tuple_gcd_bounds(_difference_products(tuples), p)
-    bounds = (2 * r - 1) * np.sqrt(gcds) * math.sqrt(p)
     ratios = sums / bounds
     worst = int(np.flatnonzero(ratios >= ratios.max() * (1 - REL_TOL))[0])
     return {"p": p, "t": t, "order": comp.order, "tuples_checked": len(tuples),
@@ -56,7 +69,8 @@ def test_weil_matches_per_character_oracle(r, q_max, tuple_cap):
     for p in primes_upto(q_max):
         tuples = _distinct_rich_tuples(min(p - 1, tuple_cap), r)
         if len(tuples):
-            expected += [oracle_record(p, t, tuples, r) for t in range(1, p - 1)]
+            bounds = oracle_bounds(p, tuples, r)
+            expected += [oracle_record(p, t, tuples, r, bounds) for t in range(1, p - 1)]
     # one record per nontrivial character, in (p, t) order
     assert [(rec["p"], rec["t"]) for rec in rep.records] == [(e["p"], e["t"])
                                                             for e in expected]
