@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Three multiplicative energies, with dual implementations.
+"""Three multiplicative energies.
 
 Each energy counts quadruples with equal products; hashing the products
-gives the count in O(box) while the naive all-pairs comparison serves as
-an oracle.  The measured count over the bound's main term is the
-empirical q^o(1).
+gives the count in O(box).  The measured count over the bound's main
+term is the empirical q^o(1).
 """
 
 import math
@@ -15,8 +14,6 @@ from charsumlab import (LinearSystem, build_field, cong_energy,
 print("congruence energy: n1 u1 = n2 u2 mod q over an interval and units")
 for q, N, U in [(101, 10, 10), (499, 22, 22), (997, 31, 31)]:
     hashed = cong_energy(q, 0, N, U)
-    naive = cong_energy(q, 0, N, U, method="naive")
-    assert hashed == naive
     print(f"  q = {q:4d}, N = U = {N}:  count = {hashed:6d}"
           f"   NU = {N*U:5d}   ratio {hashed/(N*U):.3f}")
 

@@ -2,10 +2,9 @@
 
 The package constructs Dirichlet and finite-field characters exactly,
 evaluates every incomplete and complete sum shape needed by Burgess-type
-arguments, counts Vinogradov systems and multiplicative energies with
-dual (hashed and naive) implementations, and runs deterministic
-desk-scale verification campaigns that report measured implied
-constants.
+arguments, counts Vinogradov systems and multiplicative energies exactly,
+and runs deterministic desk-scale verification campaigns that report
+measured implied constants.
 """
 
 from .cache import cache_clear, cache_ls, get_j_count
@@ -15,12 +14,11 @@ from .characters import (DirichletCharacter, PrimeCharacter,
                          build_prime_character, crt_character,
                          enumerate_primitive_characters, find_primitive_root,
                          principal_character)
-from .energy import EnergyInstance, cong_energy, ff_box_energy, linear_forms_energy
+from .energy import cong_energy, ff_box_energy, linear_forms_energy
 from .ffield import (FieldCharacter, FieldElement, FieldSpec, additive_char,
                      box_elements, build_field, fadd, fmul, trace)
 from .meanvalues import (VinogradovParams, exact_W_field, exact_W_multichar,
-                         exact_W_squarefree, lemma_rhs, quadrature_W_reference,
-                         vinogradov_count_mitm, vinogradov_count_naive)
+                         exact_W_squarefree, lemma_rhs, vinogradov_count_mitm)
 from .modular import (ResidueVector, SquarefreeModulus, crt_combine, crt_split,
                       divisor_count, factor_squarefree, mod_inverse)
 from .reports import VerificationReport, emit_report

@@ -32,7 +32,7 @@ from .meanvalues import (VinogradovParams, exact_W_field, exact_W_multichar,
 from .modular import factor_squarefree, mod_inverse, primes_upto
 from .reports import VerificationReport, emit_report
 from .rng import SplitMix64, point_hash
-from .sums import (LinearSystem, RealPolynomial, box_mixed_sum, eval_phase,
+from .sums import (LinearSystem, RealPolynomial, _phase_array, box_mixed_sum,
                    linear_forms_mixed_sum, mixed_sum, multi_char_mixed_sum)
 
 TOOL_VERSION = "0.1.0"
@@ -491,16 +491,24 @@ def _thm1_diagnostics(chi: DirichletCharacter, F: RealPolynomial,
         out["diag_I_sum"] = int(I.sum())
         out["diag_I_sq_sum"] = int((I.astype(object) ** 2).sum())
         out["diag_I_max"] = int(I.max())
-        # W at alpha = 0, the bilinear form the proof bounds
-        W = 0.0
+        # W at alpha = 0, the bilinear form the proof bounds.  Every point
+        # n0 + u v lies in (M - N, M + N + U V], so chi and the phase are
+        # evaluated once over that range.  Terms are multiplied as Python
+        # complex and the moduli taken with abs: numpy's array multiply and
+        # np.abs may differ in the last bit.
+        lo = M - N + 1
+        pts = np.arange(lo, M + N + U * V + 1, dtype=np.int64)
+        phases = _phase_array(F, [(x,) for x in pts.tolist()]).tolist()
+        terms = np.asarray([c * e for c, e in zip(chi.value_many(pts).tolist(), phases)],
+                           dtype=np.complex128)
         vs = range(1, V + 1)
-        for n0 in ns:
-            for u in units:
-                inner = 0j
-                for v in vs:
-                    point = int(n0 + u * v)
-                    inner += chi.value(point) * eval_phase(F, (point,))
-                W += abs(inner)
+        at = (ns[:, None, None] - lo + np.outer(units, vs)[None, :, :]).reshape(-1, V)
+        inner = np.zeros(len(at), dtype=np.complex128)
+        for j in range(V):  # the v-columns in order, as the scalar sum adds them
+            inner += terms[at[:, j]]
+        W = 0.0
+        for z in inner.tolist():
+            W += abs(z)
         out["diag_W_alpha0"] = W
         # W1 with the phi-product weights, rescaled to unit sup norm
         weights = np.asarray([math.prod(phi_factor(i, v, V) for i in range(1, d + 1))

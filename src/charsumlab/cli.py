@@ -4,7 +4,7 @@ Global flags (--seed, --out, --csv, --budget, --override-hypotheses)
 come before the subcommand:
 
     csl --seed 7 verify thm1 --r-d 5 --d 2
-    csl jcount --r 2 --d 2 --V 10 --method mitm
+    csl jcount --r 2 --d 2 --V 10
     csl energy cong --q 101 --N 9 --U 9
     csl factor 4199
     csl char eval --q 15 --indices 1,2 --n 7
@@ -25,8 +25,6 @@ from .characters import crt_character
 from .energy import cong_energy, ff_box_energy, linear_forms_energy
 from .errors import CharSumLabError
 from .ffield import build_field
-from .meanvalues import (VinogradovParams, vinogradov_count_mitm,
-                         vinogradov_count_naive)
 from .modular import factor_squarefree
 from .sums import LinearSystem
 
@@ -74,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_j.add_argument("--r", type=int, required=True)
     p_j.add_argument("--d", type=int, required=True)
     p_j.add_argument("--V", type=int, required=True)
-    p_j.add_argument("--method", choices=("naive", "mitm"), default="mitm")
     p_j.add_argument("--no-cache", action="store_true")
 
     p_energy = sub.add_parser("energy", help="multiplicative energy counts")
@@ -84,20 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cong.add_argument("--M", type=int, default=0)
     p_cong.add_argument("--N", type=int, required=True)
     p_cong.add_argument("--U", type=int, required=True)
-    p_cong.add_argument("--method", choices=("hashed", "naive"), default="hashed")
     p_ffbox = energy_sub.add_parser("ffbox")
     p_ffbox.add_argument("--q", type=int, required=True)
     p_ffbox.add_argument("--n", type=int, required=True)
     p_ffbox.add_argument("--H", type=int, required=True)
     p_ffbox.add_argument("--U", type=int, required=True)
-    p_ffbox.add_argument("--method", choices=("hashed", "naive"), default="hashed")
     p_lin = energy_sub.add_parser("linforms")
     p_lin.add_argument("--q", type=int, required=True)
     p_lin.add_argument("--matrix", type=_int_list, required=True,
                        help="row-major n*n integer entries")
     p_lin.add_argument("--H", type=int, required=True)
     p_lin.add_argument("--U", type=int, required=True)
-    p_lin.add_argument("--method", choices=("hashed", "naive"), default="hashed")
 
     # unset flags stay out of the namespace, so CampaignConfig holds the defaults
     p_verify = sub.add_parser("verify", help="run a verification campaign",
@@ -155,34 +149,28 @@ def _cmd_char_eval(args) -> int:
 
 
 def _cmd_jcount(args) -> int:
-    p = VinogradovParams(args.r, args.d, args.V)
-    if args.method == "naive":
-        count = vinogradov_count_naive(p, budget=args.budget)
-    elif args.no_cache:
-        count = vinogradov_count_mitm(p, budget=args.budget)
-    else:
-        count = cachemod.get_j_count(args.r, args.d, args.V, budget=args.budget)
-    _print_json({"r": args.r, "d": args.d, "V": args.V,
-                 "method": args.method, "count": count})
+    count = cachemod.get_j_count(args.r, args.d, args.V, budget=args.budget,
+                                 use_cache=not args.no_cache)
+    _print_json({"r": args.r, "d": args.d, "V": args.V, "count": count})
     return 0
 
 
 def _cmd_energy(args) -> int:
     if args.energy_command == "cong":
-        count = cong_energy(args.q, args.M, args.N, args.U, method=args.method,
+        count = cong_energy(args.q, args.M, args.N, args.U,
                             override_hypotheses=args.override_hypotheses)
         payload = {"variant": "cong", "q": args.q, "M": args.M, "N": args.N,
                    "U": args.U, "count": count}
     elif args.energy_command == "ffbox":
         spec = build_field(args.q, args.n)
-        count = ff_box_energy(spec, args.H, args.U, method=args.method,
+        count = ff_box_energy(spec, args.H, args.U,
                               override_hypotheses=args.override_hypotheses)
         payload = {"variant": "ffbox", "q": args.q, "n": args.n, "H": args.H,
                    "U": args.U, "count": count}
     else:
         entries = args.matrix
         L = LinearSystem(_square_matrix(entries, "matrix"))
-        count = linear_forms_energy(args.q, L, args.H, args.U, method=args.method,
+        count = linear_forms_energy(args.q, L, args.H, args.U,
                                     override_hypotheses=args.override_hypotheses)
         payload = {"variant": "linforms", "q": args.q, "matrix": entries,
                    "H": args.H, "U": args.U, "count": count}

@@ -1,9 +1,10 @@
 """Multiplicative energies of intervals, field boxes and linear forms.
 
 Each energy counts quadruples with equal products and equals
-sum_c m(c)^2 over the multiplicity m(c) of each product value c.  The
-hashed implementations build that multiplicity map in O(box) time; the
-naive ones compare all pairs of pairs and exist as oracles.
+sum_c m(c)^2 over the multiplicity m(c) of each product value c, and
+each is computed by hashing the products into that multiplicity map in
+O(box) time.  The counts straight from the definitions are test oracles
+outside the package (tests/oracles.py).
 
 The lemma hypotheses (N*U <= q for the congruence energy, H, U <=
 sqrt(q) for the field-box and linear-forms energies) are enforced unless
@@ -15,15 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, HypothesisViolated
+from .errors import HypothesisViolated
 from .ffield import FieldSpec, box_encodings
 from .sums import LinearSystem
-
-NAIVE_PAIR_BUDGET = 10**8
 
 
 def _sum_of_squared_counts(values: np.ndarray) -> int:
@@ -31,21 +29,8 @@ def _sum_of_squared_counts(values: np.ndarray) -> int:
     return int((counts.astype(object) ** 2).sum())
 
 
-def _naive_pair_count(keys: np.ndarray, budget: int) -> int:
-    """All-pairs equality count; keys is 1-d or 2-d (rows are keys)."""
-    m = keys.shape[0]
-    if m * m > budget:
-        raise BudgetExceeded(f"naive enumeration of {m}^2 pairs exceeds {budget}")
-    if keys.ndim == 1:
-        eq = keys[:, None] == keys[None, :]
-    else:
-        eq = (keys[:, None, :] == keys[None, :, :]).all(axis=-1)
-    return int(eq.sum())
-
-
-def cong_energy(q: int, M: int, N: int, U: int, method: str = "hashed",
-                override_hypotheses: bool = False,
-                budget: int = NAIVE_PAIR_BUDGET) -> int:
+def cong_energy(q: int, M: int, N: int, U: int,
+                override_hypotheses: bool = False) -> int:
     """Count n1 u1 = n2 u2 mod q with M < n_i <= M + N and unit u_i <= U."""
     if N < 1 or U < 1 or q < 2:
         raise ValueError("need q >= 2, N >= 1, U >= 1")
@@ -58,17 +43,11 @@ def cong_energy(q: int, M: int, N: int, U: int, method: str = "hashed",
     dtype = object if q * U >= 1 << 63 else np.int64
     ns = np.asarray([n % q for n in range(M + 1, M + N + 1)], dtype=dtype)
     prods = (ns[:, None] * np.asarray(units, dtype=dtype)[None, :]).ravel() % q
-    prods = prods.astype(np.int64, copy=False)
-    if method == "hashed":
-        return _sum_of_squared_counts(prods)
-    if method == "naive":
-        return _naive_pair_count(prods, budget)
-    raise ValueError(f"unknown method {method!r}")
+    return _sum_of_squared_counts(prods.astype(np.int64, copy=False))
 
 
-def ff_box_energy(spec: FieldSpec, H: int, U: int, method: str = "hashed",
-                  override_hypotheses: bool = False,
-                  budget: int = NAIVE_PAIR_BUDGET) -> int:
+def ff_box_energy(spec: FieldSpec, H: int, U: int,
+                  override_hypotheses: bool = False) -> int:
     """Count x1 x2 = x3 x4 with x1, x3 in the H-box and x2, x4 in the U-box."""
     if H < 1 or U < 1:
         raise ValueError("need H >= 1 and U >= 1")
@@ -82,18 +61,11 @@ def ff_box_energy(spec: FieldSpec, H: int, U: int, method: str = "hashed",
     size = spec.size
     ka = spec.dlog[a]
     kb = spec.dlog[b]
-    prods = (ka[:, None] + kb[None, :]).ravel() % (size - 1)
-    if method == "hashed":
-        return _sum_of_squared_counts(prods)
-    if method == "naive":
-        return _naive_pair_count(prods, budget)
-    raise ValueError(f"unknown method {method!r}")
+    return _sum_of_squared_counts((ka[:, None] + kb[None, :]).ravel() % (size - 1))
 
 
 def linear_forms_energy(q: int, L: LinearSystem, H: int, U: int,
-                        method: str = "hashed",
-                        override_hypotheses: bool = False,
-                        budget: int = NAIVE_PAIR_BUDGET) -> int:
+                        override_hypotheses: bool = False) -> int:
     """Count the simultaneous congruences L_i(x1) L_i(x2) = L_i(x3) L_i(x4)
     mod q for all i, with x1, x3 in [1, H]^n and x2, x4 in [1, U]^n."""
     if H < 1 or U < 1 or q < 2:
@@ -117,45 +89,11 @@ def linear_forms_energy(q: int, L: LinearSystem, H: int, U: int,
     fa = box_form_values(H)
     fb = box_form_values(U)
     keys = (fa[:, None, :] * fb[None, :, :]).reshape(-1, n) % q
-    if method == "hashed":
-        if q**n < 1 << 62:  # pack the n residues into one integer key
-            packed = np.zeros(len(keys), dtype=np.int64)
-            for i in range(n):
-                packed = packed * q + keys[:, i]
-            return _sum_of_squared_counts(packed)
-        counter = Counter(map(tuple, keys.tolist()))
-        return sum(c * c for c in counter.values())
-    if method == "naive":
-        return _naive_pair_count(keys, budget)
-    raise ValueError(f"unknown method {method!r}")
+    if q**n < 1 << 62:  # pack the n residues into one integer key
+        packed = np.zeros(len(keys), dtype=np.int64)
+        for i in range(n):
+            packed = packed * q + keys[:, i]
+        return _sum_of_squared_counts(packed)
+    counter = Counter(map(tuple, keys.tolist()))
+    return sum(c * c for c in counter.values())
 
-
-@dataclass(frozen=True)
-class EnergyInstance:
-    """One energy-count problem, tagged by variant.
-
-    variant "congruence" uses (q, M, N, U); "field-box" uses (field, H, U);
-    "linear-forms" uses (q, forms, H, U).
-    """
-
-    variant: str
-    q: int | None = None
-    M: int = 0
-    N: int | None = None
-    U: int | None = None
-    H: int | None = None
-    field: FieldSpec | None = None
-    forms: LinearSystem | None = None
-
-    def count(self, method: str = "hashed", override_hypotheses: bool = False) -> int:
-        if self.variant == "congruence":
-            return cong_energy(self.q, self.M, self.N, self.U, method=method,
-                               override_hypotheses=override_hypotheses)
-        if self.variant == "field-box":
-            return ff_box_energy(self.field, self.H, self.U, method=method,
-                                 override_hypotheses=override_hypotheses)
-        if self.variant == "linear-forms":
-            return linear_forms_energy(self.q, self.forms, self.H, self.U,
-                                       method=method,
-                                       override_hypotheses=override_hypotheses)
-        raise ValueError(f"unknown variant {self.variant!r}")

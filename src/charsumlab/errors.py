@@ -38,10 +38,6 @@ class BoxTooLarge(CharSumLabError):
     """Box side length must stay below the field characteristic."""
 
 
-class DivisionByZero(CharSumLabError, ZeroDivisionError):
-    """Inverse of the zero element."""
-
-
 class ArityMismatch(CharSumLabError):
     """Polynomial variable count disagrees with the point dimension."""
 
@@ -64,10 +60,6 @@ class RangeViolation(CharSumLabError):
 
 class MissingCount(CharSumLabError):
     """A required Vinogradov count was not supplied."""
-
-
-class UnsupportedDegree(CharSumLabError):
-    """Quadrature reference only supports linear phases."""
 
 
 class DegenerateDenominator(CharSumLabError):

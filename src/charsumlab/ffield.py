@@ -106,23 +106,20 @@ def _is_irreducible(f, q):
 # ----------------------------------------------------------------------
 # integer matrices mod q
 
-def _mat_inverse_mod(rows, q):
-    """Inverse of a square matrix over F_q by Gauss-Jordan."""
+def _check_invertible_mod(rows, q):
+    """Raise ValueError unless the square matrix is invertible over F_q
+    (Gaussian elimination to row echelon form)."""
     n = len(rows)
-    a = [[rows[i][j] % q for j in range(n)] + [1 if j == i else 0 for j in range(n)]
-         for i in range(n)]
+    a = [[x % q for x in row] for row in rows]
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % q != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             raise ValueError("basis matrix is singular mod q")
         a[col], a[piv] = a[piv], a[col]
         inv = mod_inverse(a[col][col], q)
-        a[col] = [x * inv % q for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n:]) for i in range(n))
+        for r in range(col + 1, n):
+            f = a[r][col] * inv % q
+            a[r] = [(x - f * y) % q for x, y in zip(a[r], a[col])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +163,6 @@ class FieldSpec:
     n: int
     modpoly: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
-    basis_inv: tuple[tuple[int, ...], ...]
     generator_encoding: int
     exp: np.ndarray
     dlog: np.ndarray
@@ -363,10 +359,9 @@ def build_field(q: int, n: int, basis=None) -> FieldSpec:
         basis_rows = tuple(tuple(int(x) % q for x in row) for row in basis)
         if len(basis_rows) != n or any(len(r) != n for r in basis_rows):
             raise ValueError("basis must be an n x n matrix")
-    basis_inv = _mat_inverse_mod(basis_rows, q)
+        _check_invertible_mod(basis_rows, q)
 
-    spec = FieldSpec(q=q, n=n, modpoly=modpoly, basis=basis_rows, basis_inv=basis_inv,
-                     generator_encoding=0,
+    spec = FieldSpec(q=q, n=n, modpoly=modpoly, basis=basis_rows, generator_encoding=0,
                      exp=np.zeros(max(size - 1, 1), dtype=np.int64),
                      dlog=np.full(size, -1, dtype=np.int64))
 

@@ -10,10 +10,10 @@ path.  The r-th power of the short sum is a trigonometric polynomial
 whose frequencies are the power-sum keys of r-multisets of [1, V];
 orthogonality of e^(2 pi i alpha k) turns the integral into its Gram
 form, one squared modulus per (lambda, key), so W is an exact,
-nonnegative finite sum.  Two independent oracles stay beside the table:
-the full 2r-fold count of J and a Riemann-sum reference for W at d = 1.
-The expansion of W over the solution set into complete character sums is
-a test oracle outside the package (tests/oracles.py).
+nonnegative finite sum.  The full 2r-fold count of J, a Riemann-sum
+reference for W at d = 1 and the expansion of W over the solution set
+into complete character sums are test oracles outside the package
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import (BudgetExceeded, MissingCount, RangeViolation,
-                     UnsupportedDegree)
+from .errors import BudgetExceeded, MissingCount, RangeViolation
 from .ffield import FieldCharacter
 from .sums import pairwise_sum
 
@@ -46,39 +45,6 @@ class VinogradovParams:
     def __post_init__(self):
         if self.r < 1 or self.d < 1 or self.V < 1:
             raise ValueError("r, d, V must all be >= 1")
-
-
-def vinogradov_count_naive(p: VinogradovParams, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Exact J(r, d, V) by full 2r-fold enumeration.
-
-    The 2r-dimensional grid is swept in slices along the first coordinate
-    to bound memory; the work is still V^(2r) tuple checks.
-    """
-    r, d, V = p.r, p.d, p.V
-    if V ** (2 * r) > budget:
-        raise BudgetExceeded(f"V^(2r) = {V ** (2 * r)} exceeds budget {budget}")
-    _check_power_sum_range(p)
-    vals = np.arange(1, V + 1, dtype=np.int64)
-    powers = [vals**i for i in range(1, d + 1)]
-    rest_axes = 2 * r - 1
-    shape = (V,) * rest_axes
-
-    def axis_view(arr, axis):
-        sh = [1] * rest_axes
-        sh[axis] = V
-        return arr.reshape(sh)
-
-    total = 0
-    for first in range(1, V + 1):
-        mask = np.ones(shape, dtype=bool)
-        for i in range(1, d + 1):
-            diff = np.full(shape, first**i, dtype=np.int64)
-            for axis in range(rest_axes):
-                sign = 1 if axis < r - 1 else -1
-                diff = diff + sign * axis_view(powers[i - 1], axis)
-            mask &= diff == 0
-        total += int(mask.sum())
-    return total
 
 
 def _check_power_sum_range(p: VinogradovParams):
@@ -248,31 +214,3 @@ def lemma_rhs(kind: str, *, q: float, V: int, r: int, d: int | None = None,
     if kind in ("L5", "L6"):
         return q * V**r + math.sqrt(q) * j_count
     raise ValueError(f"unknown bound kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
-# test oracles
-
-def quadrature_W_reference(chi, beta, p: VinogradovParams, grid: int = 2**14,
-                           allow_large_weights: bool = False) -> float:
-    """Riemann-sum approximation of the defining integral of W, d = 1 only.
-
-    The integrand is a trigonometric polynomial of degree below r*V in
-    alpha, so the uniform rule is exact once grid > r*(V-1); smaller
-    grids show the generic first-order convergence.
-    """
-    if p.d != 1:
-        raise UnsupportedDegree("quadrature reference only supports d = 1")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    beta = _check_weights(beta, p.V, allow_large_weights)
-    T = _value_matrix(chi, p.V) * beta[None, :]
-    vs = np.arange(1, p.V + 1)
-    total = 0.0
-    block = max(1, min(grid, (1 << 22) // max(T.shape[0], 1)))
-    for start in range(0, grid, block):
-        alphas = np.arange(start, min(start + block, grid)) / grid
-        phases = np.exp(2j * np.pi * np.outer(vs, alphas))
-        S = T @ phases
-        total += float((np.abs(S) ** (2 * p.r)).sum())
-    return total / grid

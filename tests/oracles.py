@@ -3,24 +3,30 @@
 None of this runs inside charsumlab.  The complete rational character
 sums, one tuple and one character at a time, are what the Gram-form W and
 the weil campaign's histogram + FFT kernel replaced; the solution-set
-expansion of W is built on them.  The scalar character and field helpers
-check the vectorized ones.
+expansion of W is built on them.  J by full 2r-fold enumeration and a
+Riemann sum of the defining integral of W check the multiset table, and
+the energies counted from their definitions, over Python integers and
+polynomial field products, check the hashed energies.  The scalar
+character and field helpers check the vectorized ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from charsumlab.characters import DirichletCharacter, PrimeCharacter
-from charsumlab.errors import BudgetExceeded, DivisionByZero
-from charsumlab.ffield import FieldCharacter, FieldElement, FieldSpec
-from charsumlab.meanvalues import (DEFAULT_SOLUTION_BUDGET, VinogradovParams,
-                                   _check_weights)
-from charsumlab.sums import pairwise_sum
+from charsumlab.errors import BudgetExceeded
+from charsumlab.ffield import (FieldCharacter, FieldElement, FieldSpec,
+                               box_elements, fmul)
+from charsumlab.meanvalues import (DEFAULT_SOLUTION_BUDGET, DEFAULT_TUPLE_BUDGET,
+                                   VinogradovParams, _check_power_sum_range,
+                                   _check_weights, _value_matrix)
+from charsumlab.sums import LinearSystem, pairwise_sum
 
 # ----------------------------------------------------------------------
 # scalar characters and field arithmetic
@@ -38,7 +44,7 @@ def prime_character_value(chi: PrimeCharacter, n: int) -> complex:
 def finv(a: FieldElement) -> FieldElement:
     """a^(-1) read off the exp/dlog tables."""
     if a.is_zero():
-        raise DivisionByZero("inverse of 0")
+        raise ZeroDivisionError("inverse of 0")
     spec = a.spec
     k = int(spec.dlog[a.encoding])
     if k == 0:
@@ -167,3 +173,99 @@ def expansion_W_reference(chi, beta, p: VinogradovParams,
                 csum = complete_sum(TupleSpec(r=p.r, v=left + right))
                 terms.append(wl * np.conjugate(wr) * csum)
     return float(pairwise_sum(np.asarray(terms, dtype=np.complex128)).real)
+
+
+# ----------------------------------------------------------------------
+# J by full enumeration and W by quadrature
+
+def vinogradov_count_naive(p: VinogradovParams, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
+    """Exact J(r, d, V) by full 2r-fold enumeration.
+
+    The 2r-dimensional grid is swept in slices along the first coordinate
+    to bound memory; the work is still V^(2r) tuple checks.
+    """
+    r, d, V = p.r, p.d, p.V
+    if V ** (2 * r) > budget:
+        raise BudgetExceeded(f"V^(2r) = {V ** (2 * r)} exceeds budget {budget}")
+    _check_power_sum_range(p)
+    vals = np.arange(1, V + 1, dtype=np.int64)
+    powers = [vals**i for i in range(1, d + 1)]
+    rest_axes = 2 * r - 1
+    shape = (V,) * rest_axes
+
+    def axis_view(arr, axis):
+        sh = [1] * rest_axes
+        sh[axis] = V
+        return arr.reshape(sh)
+
+    total = 0
+    for first in range(1, V + 1):
+        mask = np.ones(shape, dtype=bool)
+        for i in range(1, d + 1):
+            diff = np.full(shape, first**i, dtype=np.int64)
+            for axis in range(rest_axes):
+                sign = 1 if axis < r - 1 else -1
+                diff = diff + sign * axis_view(powers[i - 1], axis)
+            mask &= diff == 0
+        total += int(mask.sum())
+    return total
+
+
+def quadrature_W_reference(chi, beta, p: VinogradovParams, grid: int = 2**14,
+                           allow_large_weights: bool = False) -> float:
+    """Riemann-sum approximation of the defining integral of W, d = 1 only.
+
+    The integrand is a trigonometric polynomial of degree below r*V in
+    alpha, so the uniform rule is exact once grid > r*(V-1); smaller
+    grids show the generic first-order convergence.
+    """
+    if p.d != 1:
+        raise ValueError("quadrature reference only supports d = 1")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    beta = _check_weights(beta, p.V, allow_large_weights)
+    T = _value_matrix(chi, p.V) * beta[None, :]
+    vs = np.arange(1, p.V + 1)
+    total = 0.0
+    block = max(1, min(grid, (1 << 22) // max(T.shape[0], 1)))
+    for start in range(0, grid, block):
+        alphas = np.arange(start, min(start + block, grid)) / grid
+        phases = np.exp(2j * np.pi * np.outer(vs, alphas))
+        S = T @ phases
+        total += float((np.abs(S) ** (2 * p.r)).sum())
+    return total / grid
+
+
+# ----------------------------------------------------------------------
+# multiplicative energies from their definitions
+
+def _squared_multiplicities(tally: Counter) -> int:
+    return sum(c * c for c in tally.values())
+
+
+def cong_energy_reference(q: int, M: int, N: int, U: int) -> int:
+    """Pairs (n1 u1, n2 u2) with equal residues mod q, tallied over the
+    Python-int products n u mod q with M < n <= M + N and units u <= U."""
+    return _squared_multiplicities(Counter(
+        n * u % q for n in range(M + 1, M + N + 1)
+        for u in range(1, U + 1) if math.gcd(u, q) == 1))
+
+
+def ff_box_energy_reference(spec: FieldSpec, H: int, U: int) -> int:
+    """Equal products x y of field elements, x in the H-box and y in the
+    U-box, tallied over polynomial products (no exp/dlog tables)."""
+    ys = box_elements(spec, U)
+    return _squared_multiplicities(Counter(
+        fmul(x, y).coeffs for x in box_elements(spec, H) for y in ys))
+
+
+def linear_forms_energy_reference(q: int, L: LinearSystem, H: int, U: int) -> int:
+    """Equal tuples (L_i(x) L_i(y) mod q)_i, x in [1, H]^n and y in
+    [1, U]^n, tallied over Python ints."""
+    def form_values(side):
+        return [[sum(c * xi for c, xi in zip(row, x)) % q for row in L.matrix]
+                for x in itertools.product(range(1, side + 1), repeat=L.n)]
+
+    ys = form_values(U)
+    return _squared_multiplicities(Counter(
+        tuple(a * b % q for a, b in zip(fx, fy)) for fx in form_values(H) for fy in ys))

@@ -9,16 +9,17 @@ import pytest
 from charsumlab import calibration
 from charsumlab.campaigns import (CAMPAIGNS, EMPTY_NOTE, CampaignConfig,
                                   _first_primitive_character, _odd_squarefree,
-                                  chang_epsilon,
+                                  _thm1_diagnostics, chang_epsilon,
                                   compare_exponents, phi_factor, run_campaign,
                                   sample_phase_poly, theorem_exponent)
-from charsumlab.characters import enumerate_primitive_characters
+from charsumlab.characters import crt_character, enumerate_primitive_characters
 from charsumlab.errors import (CharSumLabError, DegenerateDenominator,
                                HypothesisViolated, IndexOutOfRange, InvalidConfig,
                                RangeViolation)
 from charsumlab.modular import factor_squarefree
 from charsumlab.reports import VerificationReport
 from charsumlab.rng import SplitMix64, point_hash
+from charsumlab.sums import eval_phase
 
 
 def run(target, **kw):
@@ -67,6 +68,34 @@ def test_thm1_diagnostics():
     assert rec["diag_I_max"] >= 1
     assert rec["diag_W1_phi_weighted"] >= 0
     assert rec["diag_lemma3_rhs"] > 0
+
+
+def test_thm1_diagnostics_w_is_the_scalar_sum_bit_for_bit():
+    # W(alpha = 0) summed point by point, in the order the range kernel
+    # must reproduce exactly
+    def scalar_w(chi, F, M, N, U, V):
+        W = 0.0
+        for n0 in range(M - N + 1, M + N + 1):
+            for u in range(1, U + 1):
+                if math.gcd(u, chi.q) == 1:
+                    inner = 0j
+                    for v in range(1, V + 1):
+                        point = n0 + u * v
+                        inner += chi.value(point) * eval_phase(F, (point,))
+                    W += abs(inner)
+        return W
+
+    rng = SplitMix64(5)
+    for q, idx, M, N, r, d in [(1001, (1, 2, 3), 500, 40, 3, 1),
+                               (1001, (5, 1, 7), 10, 60, 3, 1),  # M < N
+                               (899, (3, 4), 300, 40, 5, 2),
+                               (4199, (2, 5, 7), 2000, 50, 8, 3)]:
+        chi = crt_character(factor_squarefree(q), idx)
+        F = sample_phase_poly(rng, 1, d)
+        diag = _thm1_diagnostics(chi, F, M, N, r, d)
+        assert diag["diag_units"] > 1 and diag["diag_V"] > 1
+        assert diag["diag_W_alpha0"] == scalar_w(chi, F, M, N, diag["diag_U"],
+                                                 diag["diag_V"])
 
 
 def test_campaign_determinism_across_threads_and_runs():

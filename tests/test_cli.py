@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from charsumlab import LinearSystem, VinogradovParams, build_field
 from charsumlab.campaigns import CampaignConfig, run_campaign
 from charsumlab.cli import main
+from oracles import (ff_box_energy_reference, linear_forms_energy_reference,
+                     vinogradov_count_naive)
 
 
 def run_cli(capsys, *argv):
@@ -37,16 +40,16 @@ def test_char_eval(capsys):
 
 def test_jcount_methods_agree(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("CSL_CACHE_DIR", str(tmp_path))
-    code, out = run_cli(capsys, "jcount", "--r", "2", "--d", "2", "--V", "9")
-    assert code == 0
-    mitm = json.loads(out)["count"]
-    code, out = run_cli(capsys, "jcount", "--r", "2", "--d", "2", "--V", "9",
-                        "--method", "naive")
-    assert json.loads(out)["count"] == mitm == 2 * 81 - 9
+    count = vinogradov_count_naive(VinogradovParams(2, 2, 9))
+    assert count == 2 * 81 - 9
+    for flags in ([], ["--no-cache"]):
+        code, out = run_cli(capsys, "jcount", "--r", "2", "--d", "2", "--V", "9", *flags)
+        assert code == 0
+        assert json.loads(out) == {"r": 2, "d": 2, "V": 9, "count": count}
     # count is now cached
     code, out = run_cli(capsys, "cache", "ls")
     entries = json.loads(out)["entries"]
-    assert entries == [{"r": 2, "d": 2, "V": 9, "count": mitm}]
+    assert entries == [{"r": 2, "d": 2, "V": 9, "count": count}]
     code, out = run_cli(capsys, "cache", "clear")
     assert json.loads(out)["removed"] is True
 
@@ -58,14 +61,26 @@ def test_energy_commands(capsys):
     code, out = run_cli(capsys, "energy", "ffbox", "--q", "5", "--n", "2",
                         "--H", "2", "--U", "2")
     assert code == 0
-    hashed = json.loads(out)["count"]
-    code, out = run_cli(capsys, "energy", "ffbox", "--q", "5", "--n", "2",
-                        "--H", "2", "--U", "2", "--method", "naive")
-    assert json.loads(out)["count"] == hashed
+    assert json.loads(out)["count"] == ff_box_energy_reference(build_field(5, 2), 2, 2)
     code, out = run_cli(capsys, "energy", "linforms", "--q", "7",
                         "--matrix", "1,1,0,1", "--H", "2", "--U", "2")
     assert code == 0
-    assert json.loads(out)["count"] >= 16
+    L = LinearSystem(((1, 1), (0, 1)))
+    assert json.loads(out)["count"] == linear_forms_energy_reference(7, L, 2, 2) >= 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "cong", "--q", "101", "--N", "9", "--U", "9", "--method", "naive"],
+    ["energy", "ffbox", "--q", "5", "--n", "2", "--H", "2", "--U", "2",
+     "--method", "hashed"],
+    ["energy", "linforms", "--q", "7", "--matrix", "1,1,0,1", "--H", "2", "--U", "2",
+     "--method", "naive"],
+    ["jcount", "--r", "2", "--d", "2", "--V", "5", "--method", "naive"]])
+def test_method_flag_is_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--method" in capsys.readouterr().err
 
 
 def test_energy_hypothesis_flag(capsys):
@@ -151,6 +166,13 @@ def test_verify_threads_share_fresh_j_cache(capsys, monkeypatch, tmp_path):
     assert code == 0, captured.err
     code, out = run_cli(capsys, "cache", "ls")
     assert json.loads(out)["entries"]
+
+
+def test_verify_rejects_singular_basis(capsys):
+    code = main(["verify", "thm3", "--r-d", "5", "--basis", "1,1,2,2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "singular" in err
 
 
 def test_thm4_rejects_q_max_with_one_prime(capsys):

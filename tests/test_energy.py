@@ -1,18 +1,18 @@
-import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
-from charsumlab import (EnergyInstance, LinearSystem, build_field,
-                        cong_energy, ff_box_energy, linear_forms_energy)
-from charsumlab.errors import BudgetExceeded, HypothesisViolated
+from charsumlab import (LinearSystem, build_field, cong_energy, ff_box_energy,
+                        linear_forms_energy)
+from charsumlab.errors import HypothesisViolated
+from oracles import (cong_energy_reference, ff_box_energy_reference,
+                     linear_forms_energy_reference)
 
 
 def test_cong_energy_example():
     assert cong_energy(5, 0, 2, 2) == 6
-    assert cong_energy(5, 0, 2, 2, method="naive") == 6
+    assert cong_energy_reference(5, 0, 2, 2) == 6
 
 
 def test_cong_energy_diagonal_and_u1():
@@ -26,8 +26,7 @@ def test_cong_energy_diagonal_and_u1():
 def test_cong_energy_methods_agree():
     for q, M, N, U in [(11, 0, 3, 3), (35, 2, 5, 7), (101, 10, 10, 10),
                        (97, 0, 9, 9)]:
-        assert (cong_energy(q, M, N, U, method="hashed")
-                == cong_energy(q, M, N, U, method="naive"))
+        assert cong_energy(q, M, N, U) == cong_energy_reference(q, M, N, U)
 
 
 def test_cong_energy_role_symmetry():
@@ -48,20 +47,14 @@ def test_cong_energy_hypothesis():
     assert cong_energy(5, 0, 3, 3, override_hypotheses=True) >= 3 * 3
 
 
-def test_cong_energy_budget():
-    with pytest.raises(BudgetExceeded):
-        cong_energy(10_007, 0, 50, 50, method="naive", budget=10**4)
-
-
 def test_ff_box_energy():
     f25 = build_field(5, 2)
     assert ff_box_energy(f25, 1, 1) == 1
     hashed = ff_box_energy(f25, 2, 2)
-    naive = ff_box_energy(f25, 2, 2, method="naive")
-    assert hashed == naive
+    assert hashed == ff_box_energy_reference(f25, 2, 2)
     assert hashed >= (2 * 2) ** 2
     f49 = build_field(7, 2)
-    assert (ff_box_energy(f49, 2, 2) == ff_box_energy(f49, 2, 2, method="naive"))
+    assert ff_box_energy(f49, 2, 2) == ff_box_energy_reference(f49, 2, 2)
 
 
 def test_ff_box_energy_hypothesis():
@@ -84,8 +77,7 @@ def test_linear_forms_energy_example():
     L = LinearSystem(((1, 1), (0, 1)))
     assert linear_forms_energy(q, L, 1, 1) == 1
     hashed = linear_forms_energy(q, L, 2, 2)
-    naive = linear_forms_energy(q, L, 2, 2, method="naive")
-    assert hashed == naive
+    assert hashed == linear_forms_energy_reference(q, L, 2, 2)
     assert hashed >= (2 * 2) ** 2
 
 
@@ -97,19 +89,6 @@ def test_linear_forms_energy_hypothesis_and_singular():
         linear_forms_energy(q, LinearSystem(((1, 1), (2, 2))), 2, 2)
     with pytest.raises(HypothesisViolated):
         linear_forms_energy(q, LinearSystem(((1, 0), (0, 1))), 3, 2)
-
-
-def test_energy_instance_dispatch():
-    f25 = build_field(5, 2)
-    inst = EnergyInstance(variant="congruence", q=11, M=0, N=3, U=3)
-    assert inst.count() == cong_energy(11, 0, 3, 3)
-    inst2 = EnergyInstance(variant="field-box", field=f25, H=2, U=2)
-    assert inst2.count() == ff_box_energy(f25, 2, 2)
-    inst3 = EnergyInstance(variant="linear-forms", q=7,
-                           forms=LinearSystem(((1, 1), (0, 1))), H=2, U=2)
-    assert inst3.count() == linear_forms_energy(7, LinearSystem(((1, 1), (0, 1))), 2, 2)
-    with pytest.raises(ValueError):
-        EnergyInstance(variant="nope").count()
 
 
 def test_energy_is_sum_of_squared_multiplicities():
@@ -127,29 +106,22 @@ def test_energy_is_sum_of_squared_multiplicities():
 def test_cong_energy_wide_modulus_exact():
     # residue times unit reaches q*U > 2^63, past int64
     q, M, N, U = 2**61 - 1, 2**61 - 11, 5, 7
-    tally = Counter(n % q * u % q for n in range(M + 1, M + N + 1)
-                    for u in range(1, U + 1))
-    assert sum(c * c for c in tally.values()) == 47
+    assert cong_energy_reference(q, M, N, U) == 47
     assert cong_energy(q, M, N, U) == 47
-    assert cong_energy(q, M, N, U, method="naive") == 47
 
 
 def test_linear_forms_energy_wide_modulus_exact():
     # form values and their products reach q^2 > 2^63, past int64
     q, H = 1099511627791, 6
-    box = list(itertools.product(range(1, H + 1), repeat=2))
     rng = random.Random(0)
     for _ in range(3):
         while True:
             mat = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
             if (mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]) % q:
                 break
-        forms = {x: [sum(c * xi for c, xi in zip(row, x)) % q for row in mat]
-                 for x in box}
-        tally = Counter(tuple(a * b % q for a, b in zip(forms[x], forms[y]))
-                        for x in box for y in box)
-        expected = sum(c * c for c in tally.values())
-        assert linear_forms_energy(q, LinearSystem(mat), H, H) == expected
+        L = LinearSystem(mat)
+        assert linear_forms_energy_reference(q, L, H, H) == 2920
+        assert linear_forms_energy(q, L, H, H) == 2920
     small = LinearSystem(((q // 2, 3), (q // 3, 7)))
     assert (linear_forms_energy(q, small, 3, 3)
-            == linear_forms_energy(q, small, 3, 3, method="naive"))
+            == linear_forms_energy_reference(q, small, 3, 3))
