@@ -13,7 +13,7 @@ from .campaigns import (CampaignConfig, chang_epsilon, compare_exponents,
 from .characters import (DirichletCharacter, PrimeCharacter,
                          build_prime_character, crt_character,
                          enumerate_primitive_characters, find_primitive_root,
-                         principal_character)
+                         principal_character, sample_primitive_characters)
 from .energy import cong_energy, ff_box_energy, linear_forms_energy
 from .ffield import (FieldCharacter, FieldElement, FieldSpec, additive_char,
                      box_elements, build_field, fadd, fmul, trace)

@@ -22,7 +22,7 @@ import numpy as np
 from . import calibration
 from .cache import get_j_count
 from .characters import (DirichletCharacter, _root_and_dlog, crt_character,
-                         enumerate_primitive_characters)
+                         sample_primitive_characters)
 from .energy import cong_energy, ff_box_energy, linear_forms_energy
 from .errors import (BudgetExceeded, DegenerateDenominator, HypothesisViolated,
                      IndexOutOfRange, InvalidConfig, RangeViolation)
@@ -334,8 +334,8 @@ def _squarefree_instances(cfg: CampaignConfig, which: str, r: int,
     theta = range_cap_exponent(which, r, cfg.d)
     out = []
     for q in moduli:
-        chars = enumerate_primitive_characters(factor_squarefree(q))
-        for chi in rng.sample_without_replacement(chars, cfg.chars_per_modulus):
+        m = factor_squarefree(q)
+        for chi in sample_primitive_characters(m, rng, cfg.chars_per_modulus):
             F = sample_phase_poly(rng, 1, cfg.d)
             M = rng.next_below(q)
             out.append((q, chi, F, M, max(int(q**theta), 1)))
@@ -498,7 +498,7 @@ def _thm1_diagnostics(chi: DirichletCharacter, F: RealPolynomial,
         # np.abs may differ in the last bit.
         lo = M - N + 1
         pts = np.arange(lo, M + N + U * V + 1, dtype=np.int64)
-        phases = _phase_array(F, [(x,) for x in pts.tolist()]).tolist()
+        phases = _phase_array(F, pts[:, None]).tolist()
         terms = np.asarray([c * e for c, e in zip(chi.value_many(pts).tolist(), phases)],
                            dtype=np.complex128)
         vs = range(1, V + 1)

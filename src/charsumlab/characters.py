@@ -5,7 +5,8 @@ smallest primitive root together with an index t in [0, p-1); its value
 at a unit n is exp(2*pi*i * t * dlog(n) / (p-1)).  A character mod a
 squarefree q is the product of one prime character per factor, which is
 exactly how such characters decompose under the Chinese remainder
-theorem.  Tables are built eagerly, so evaluation is O(1) per point.
+theorem.  Tables are built eagerly, so evaluation is O(1) per point, and
+shared through a cache bounded by bytes (DLOG_CACHE_BYTES).
 
 Values are double-precision complex; "exact" statements downstream are
 phrased with 1e-12 style tolerances.
@@ -13,9 +14,10 @@ phrased with 1e-12 style tolerances.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from .modular import SquarefreeModulus, is_probable_prime, prime_factors
 
 PRIME_TABLE_BOUND = 1 << 24
 ENUMERATION_BOUND = 10**5
+DLOG_CACHE_BYTES = 1 << 28  # three dlog tables at p ~ 1e7
 
 
 def find_primitive_root(p: int) -> int:
@@ -42,18 +45,68 @@ def find_primitive_root(p: int) -> int:
     raise NotPrime(f"no generator found; {p} is not prime")  # pragma: no cover
 
 
-@functools.lru_cache(maxsize=512)
-def _root_and_dlog(p: int) -> tuple[int, np.ndarray]:
+def _build_root_and_dlog(p: int) -> tuple[int, np.ndarray]:
     """(smallest root g, dlog table) with dlog[g^k mod p] = k; dlog[0] = -1."""
     g = find_primitive_root(p)
+    # g^0 .. g^(width-1) by doubling, g^(pos + j) = g^j * g^pos; then each
+    # further block of width powers is the previous block times g^width.
+    # Blocks bound the scratch memory; residues stay below 2^24, so every
+    # product fits int64.
+    n = max(p - 1, 1)
+    width = min(n, 1 << 20)
+    block = np.empty(width, dtype=np.int64)
+    block[0] = 1
+    pos = 1
+    while pos < width:
+        count = min(pos, width - pos)
+        block[pos:pos + count] = block[:count] * (int(block[pos - 1]) * g % p) % p
+        pos += count
     dlog = np.full(p, -1, dtype=np.int64)
-    x = 1
-    dlog[1] = 0
-    for k in range(1, p - 1):
-        x = x * g % p
-        dlog[x] = k
+    dlog[block] = np.arange(width, dtype=np.int64)
+    step = pow(g, width, p)
+    for start in range(width, n, width):
+        block = block * step % p
+        count = min(width, n - start)
+        dlog[block[:count]] = np.arange(start, start + count, dtype=np.int64)
     dlog.setflags(write=False)  # shared across every character mod p
     return g, dlog
+
+
+class _TableCache:
+    """Least-recently-used map p -> (root, dlog table), bounded by table bytes.
+
+    A table takes 8 bytes per residue (80 MB at p ~ 1e7), so the budget
+    counts bytes, not entries.  The newest table
+    always stays, even alone above the budget.  One lock covers lookups and
+    builds, so concurrent callers never build the same table twice.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._tables: OrderedDict[int, tuple[int, np.ndarray]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, p: int) -> tuple[int, np.ndarray]:
+        with self._lock:
+            entry = self._tables.get(p)
+            if entry is not None:
+                self._tables.move_to_end(p)
+                return entry
+            entry = self._tables[p] = _build_root_and_dlog(p)
+            self.nbytes += entry[1].nbytes
+            while self.nbytes > self.budget and len(self._tables) > 1:
+                _, (_, old) = self._tables.popitem(last=False)
+                self.nbytes -= old.nbytes
+            return entry
+
+
+_DLOG_TABLES = _TableCache(DLOG_CACHE_BYTES)
+
+
+def _root_and_dlog(p: int) -> tuple[int, np.ndarray]:
+    """(smallest root g, dlog table) mod p, from the shared table cache."""
+    return _DLOG_TABLES.get(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,11 +209,31 @@ def principal_character(m: SquarefreeModulus) -> DirichletCharacter:
     return crt_character(m, (0,) * len(m.primes))
 
 
+def sample_primitive_characters(m: SquarefreeModulus, rng, k: int) -> list[DirichletCharacter]:
+    """rng.sample_without_replacement(enumerate_primitive_characters(m), k),
+    drawing the same values, without listing the characters.
+
+    The sample is taken over indices into that list; index i is read in
+    mixed radix (p_j - 2), last prime fastest, and digit j is t_j - 1.
+    """
+    radices = [p - 2 for p in m.primes]
+    out = []
+    for index in rng.sample_without_replacement(range(math.prod(radices)), k):
+        digits = []
+        for radix in reversed(radices):
+            index, t = divmod(index, radix)
+            digits.append(1 + t)
+        out.append(crt_character(m, reversed(digits)))
+    return out
+
+
 def enumerate_primitive_characters(m: SquarefreeModulus) -> list[DirichletCharacter]:
     """All primitive characters mod q, ordered by index tuple.
 
     There are prod_j (p_j - 2) of them; the list is empty whenever 2 | q,
-    because mod 2 only the principal component exists.
+    because mod 2 only the principal component exists.  Listing them all
+    is capped at ENUMERATION_BOUND; campaigns never list them, they sample
+    lazily through sample_primitive_characters, at any q.
     """
     if m.q > ENUMERATION_BOUND:
         raise TooLarge(f"q = {m.q} exceeds the enumeration bound {ENUMERATION_BOUND}")

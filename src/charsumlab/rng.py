@@ -46,10 +46,14 @@ class SplitMix64:
         return SplitMix64(_mix(self._state + _GOLDEN * (index + 1)))
 
     def sample_without_replacement(self, items, k):
-        """Deterministic k-subset, preserving the original order."""
-        items = list(items)
+        """Deterministic k-subset, preserving the original order.
+
+        A range is indexed in place, never listed, so it may be huge.
+        """
+        if not isinstance(items, range):
+            items = list(items)
         if k >= len(items):
-            return items
+            return list(items)
         chosen = set()
         while len(chosen) < k:
             chosen.add(self.next_below(len(items)))

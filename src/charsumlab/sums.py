@@ -1,10 +1,16 @@
 """Every sum shape used by the verification campaigns.
 
-Phase evaluation is exact: a monomial value c * x^e with float c and
-integer x is a dyadic rational, so its fractional part is computed with
-big-integer arithmetic and carries no roundoff at all.  Complex
-accumulation always uses the same ascending-index pairwise tree, which
-makes every sum bit-reproducible regardless of how work is scheduled.
+Phase evaluation is exact: a float coefficient c is num / 2^k, so the
+fractional part of c * x^e is ((num mod 2^k) * (x^e mod 2^k) mod 2^k) / 2^k
+and carries no roundoff at all.  Sums evaluate it for every point at once
+in wrapping uint64 arithmetic (`_phase_array`, valid while k <= 63).  The
+scalar `eval_fraction` computes the same value with Python integers; it is
+the kernel's oracle, and the kernel falls back to it point by point when
+some coefficient has k > 63 or a monomial could pass 2^52 on the points,
+where it raises the same PrecisionOverflow.  Per-term fractions are
+combined with the same compensated sum in both, so they agree bit for bit.
+Complex accumulation always uses the same ascending-index pairwise tree,
+which makes every sum bit-reproducible regardless of how work is scheduled.
 """
 
 from __future__ import annotations
@@ -105,7 +111,8 @@ def eval_fraction(F: RealPolynomial, point) -> float:
 
     `point` must be integers.  The fractional part of c * prod(x^e) is
     computed from the exact dyadic representation of c, then the per-term
-    fractions are combined with compensated summation.
+    fractions are combined with compensated summation.  This is the scalar
+    oracle of the array kernel `_phase_array`, and its fallback.
     """
     point = tuple(int(x) for x in point)
     if len(point) != F.nvars:
@@ -134,9 +141,46 @@ def eval_phase(F: RealPolynomial, point) -> complex:
     return complex(np.exp(2j * np.pi * eval_fraction(F, point)))
 
 
-def _phase_array(F: RealPolynomial, points) -> np.ndarray:
-    return np.asarray([np.exp(2j * np.pi * eval_fraction(F, p)) for p in points],
-                      dtype=np.complex128)
+def _fraction_array(F: RealPolynomial, points: np.ndarray) -> np.ndarray:
+    """eval_fraction at every row of an int64 (npoints, nvars) array."""
+    points = np.asarray(points, dtype=np.int64)
+    if points.ndim != 2 or points.shape[1] != F.nvars:
+        raise ArityMismatch(f"points must have shape (npoints, {F.nvars})")
+    if len(points) == 0:
+        return np.zeros(0, dtype=np.float64)
+    reach = [max(-int(col.min()), int(col.max())) for col in points.T]
+    ratios = [coeff.as_integer_ratio() for _, coeff in F.terms]
+    for (exps, _), (num, den) in zip(F.terms, ratios):
+        mono_reach = math.prod(r**e for r, e in zip(reach, exps))
+        if den > 1 << 63 or abs(num) * mono_reach > MONOMIAL_MAGNITUDE_BOUND * den:
+            return np.asarray([eval_fraction(F, p) for p in points.tolist()],
+                              dtype=np.float64)
+    cols = points.T.astype(np.uint64)  # x mod 2^64, two's complement
+    s = np.zeros(len(points), dtype=np.float64)
+    comp = np.zeros(len(points), dtype=np.float64)
+    for (exps, _), (num, den) in zip(F.terms, ratios):
+        # (num mod 2^k) * x^e wraps mod 2^64; the low k bits are exact
+        mono = np.full(len(points), num % den, dtype=np.uint64)
+        for col, e in zip(cols, exps):
+            for _ in range(e):
+                mono *= col
+        frac = (mono & np.uint64(den - 1)).astype(np.float64) / float(den)
+        y = frac - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+    return np.remainder(s, 1.0)
+
+
+def _phase_array(F: RealPolynomial, points: np.ndarray) -> np.ndarray:
+    """e^(2 pi i F(x)) at every row of an int64 (npoints, nvars) array."""
+    return np.exp(2j * np.pi * _fraction_array(F, points))
+
+
+def _grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the product of the int64 axes, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +196,7 @@ def mixed_sum(chi: DirichletCharacter, F: RealPolynomial, M: int, N: int) -> com
         return 0j
     ns = np.arange(M + 1, M + N + 1, dtype=np.int64)
     values = chi.value_many(ns)
-    phases = _phase_array(F, [(int(n),) for n in ns])
+    phases = _phase_array(F, ns[:, None])
     return pairwise_sum(values * phases)
 
 
@@ -165,8 +209,7 @@ def box_mixed_sum(chi: FieldCharacter, F: RealPolynomial, H: int) -> complex:
         raise BoxTooLarge(f"H = {H} must stay below the characteristic {spec.q}")
     encs = box_encodings(spec, H)
     values = chi.value_many(encs)
-    coords = itertools.product(range(1, H + 1), repeat=spec.n)
-    phases = _phase_array(F, coords)
+    phases = _phase_array(F, _grid([np.arange(1, H + 1, dtype=np.int64)] * spec.n))
     return pairwise_sum(values * phases)
 
 
@@ -178,13 +221,15 @@ def multi_char_mixed_sum(chi_list: Sequence[DirichletCharacter], F: RealPolynomi
         raise ArityMismatch("chi_list, M_list, H_list and F must agree on dimension")
     axes = [np.arange(M + 1, M + H + 1, dtype=np.int64) for M, H in zip(M_list, H_list)]
     char_axes = [chi.value_many(ax) for chi, ax in zip(chi_list, axes)]
+    phases = _phase_array(F, _grid(axes))
     terms = []
-    for idx in itertools.product(*(range(len(a)) for a in axes)):
-        point = tuple(int(axes[i][idx[i]]) for i in range(n))
+    # the character factors multiply as scalars, one point at a time:
+    # numpy's array multiply may round the products differently
+    for j, idx in enumerate(itertools.product(*(range(len(a)) for a in axes))):
         val = 1.0 + 0j
         for i in range(n):
             val *= char_axes[i][idx[i]]
-        terms.append(val * np.exp(2j * np.pi * eval_fraction(F, point)))
+        terms.append(val * phases[j])
     return pairwise_sum(np.asarray(terms, dtype=np.complex128))
 
 
@@ -237,8 +282,7 @@ def linear_forms_mixed_sum(chi: DirichletCharacter, L: LinearSystem,
     L.check_invertible_mod(q)
     if H > q:
         raise HypothesisViolated(f"H = {H} exceeds q = {q}")
-    grids = np.meshgrid(*([np.arange(1, H + 1, dtype=np.int64)] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = _grid([np.arange(1, H + 1, dtype=np.int64)] * n)
     # residue products reach q^2 and forms reach n*H*q: past int64, use exact ints
     exact = q * q >= 1 << 63 or n * H * q >= 1 << 63
     dtype = object if exact else np.int64
@@ -248,5 +292,5 @@ def linear_forms_mixed_sum(chi: DirichletCharacter, L: LinearSystem,
     for i in range(n):
         prods = (prods * forms[:, i]) % q
     values = chi.value_many(prods.astype(np.int64))
-    phases = _phase_array(F, [tuple(map(int, row)) for row in pts])
+    phases = _phase_array(F, pts)
     return pairwise_sum(values * phases)

@@ -7,7 +7,8 @@ expansion of W is built on them.  J by full 2r-fold enumeration and a
 Riemann sum of the defining integral of W check the multiset table, and
 the energies counted from their definitions, over Python integers and
 polynomial field products, check the hashed energies.  The scalar
-character and field helpers check the vectorized ones.
+character and field helpers, and the dlog table stepped one power at a
+time, check the vectorized ones.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from charsumlab.characters import DirichletCharacter, PrimeCharacter
+from charsumlab.characters import (DirichletCharacter, PrimeCharacter,
+                                   find_primitive_root)
 from charsumlab.errors import BudgetExceeded
 from charsumlab.ffield import (FieldCharacter, FieldElement, FieldSpec,
                                box_elements, fmul)
@@ -39,6 +41,18 @@ def prime_character_value(chi: PrimeCharacter, n: int) -> complex:
     span = max(chi.p - 1, 1)
     theta = 2.0 * math.pi * ((chi.t * k) % span) / span
     return complex(math.cos(theta), math.sin(theta))
+
+
+def root_and_dlog_reference(p: int) -> tuple[int, np.ndarray]:
+    """(smallest root g, dlog table) by stepping x -> g x mod p once per k."""
+    g = find_primitive_root(p)
+    dlog = np.full(p, -1, dtype=np.int64)
+    x = 1
+    dlog[1] = 0
+    for k in range(1, p - 1):
+        x = x * g % p
+        dlog[x] = k
+    return g, dlog
 
 
 def finv(a: FieldElement) -> FieldElement:

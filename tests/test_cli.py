@@ -5,6 +5,7 @@ import pytest
 from charsumlab import LinearSystem, VinogradovParams, build_field
 from charsumlab.campaigns import CampaignConfig, run_campaign
 from charsumlab.cli import main
+from charsumlab.errors import OutOfRange
 from oracles import (ff_box_energy_reference, linear_forms_energy_reference,
                      vinogradov_count_naive)
 
@@ -199,3 +200,23 @@ def test_degenerate_config_exits_2(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_thm1_above_the_enumeration_bound(capsys):
+    # q = 200005 = 5 * 13 * 17 * 181 has 3 * 11 * 15 * 179 primitive characters
+    code = main(["verify", "thm1", "--r-d", "5", "--d", "2", "--q-min", "200005",
+                 "--q-max", "200005", "--chars-per-modulus", "10"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "records=10" in captured.out
+
+
+def test_verify_thm1_prime_factor_past_table_bound_exits_2(capsys):
+    code = main(["verify", "thm1", "--r-d", "4", "--q-min", "16777259",
+                 "--q-max", "16777259"])  # a prime above 2^24
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "table bound" in err
+    with pytest.raises(OutOfRange):
+        run_campaign(CampaignConfig(target="thm1", r_d=4, q_min=16777259, q_max=16777259))

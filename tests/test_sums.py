@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from charsumlab import sums
 from charsumlab import (FieldCharacter, LinearSystem, RealPolynomial,
                         box_mixed_sum, build_field, crt_character,
                         enumerate_primitive_characters, eval_fraction,
@@ -41,6 +42,82 @@ def test_eval_phase_overflow_guard():
     F = RealPolynomial.univariate([0.0, 1.5])
     with pytest.raises(PrecisionOverflow):
         eval_phase(F, (1 << 53,))
+
+
+# ----------------------------------------------------------------------
+# the uint64 phase kernel against the scalar eval_fraction, bit for bit
+
+def _scalar_fractions(F, points):
+    return [eval_fraction(F, p) for p in points.tolist()]
+
+
+def _assert_kernel_is_scalar(F, points):
+    fracs = sums._fraction_array(F, points)
+    phases = sums._phase_array(F, points)
+    assert fracs.dtype == np.float64 and phases.dtype == np.complex128
+    want = _scalar_fractions(F, points)
+    assert fracs.tolist() == want
+    assert phases.tolist() == [complex(np.exp(2j * np.pi * f)) for f in want]
+    assert phases.tolist() == [eval_phase(F, p) for p in points.tolist()]
+
+
+def _dyadic(rng, k):
+    """A coefficient num / 2^k with num odd, so exactly k fraction bits."""
+    return math.ldexp(int(rng.integers(0, 1 << 52)) * 2 + 1, -k)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_phase_kernel_matches_eval_fraction_bitwise(nvars, degree, monkeypatch):
+    rng = np.random.default_rng(100 * nvars + degree)
+    kinds = [lambda: float(rng.integers(-7, 8)), lambda: float(rng.uniform(-7, 7)),
+             lambda: _dyadic(rng, 52), lambda: _dyadic(rng, 53),
+             lambda: -_dyadic(rng, 53), lambda: _dyadic(rng, 63)]
+    exps = [e for e in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(e) <= degree]
+    terms = {e: kinds[i % len(kinds)]() for i, e in enumerate(exps)}
+    F = RealPolynomial.from_terms(nvars, terms)
+    # the largest |x| at which no monomial can pass 2^52 with |c| <= 8
+    reach = int(2.0 ** (49 / degree))
+    corners = [[0] * nvars, [reach] * nvars, [-reach] * nvars, [1] * nvars, [-1] * nvars]
+    points = np.asarray(corners + rng.integers(-reach, reach + 1, size=(200, nvars)).tolist()
+                        + rng.integers(-9, 10, size=(50, nvars)).tolist(), dtype=np.int64)
+    monkeypatch.setattr(sums, "eval_fraction", None)  # the fallback would call it
+    fracs = sums._fraction_array(F, points)
+    monkeypatch.undo()
+    assert fracs.tolist() == _scalar_fractions(F, points)
+    _assert_kernel_is_scalar(F, points)
+
+
+def test_phase_kernel_falls_back_past_63_fraction_bits():
+    rng = np.random.default_rng(3)
+    F = RealPolynomial.from_terms(2, {(1, 0): _dyadic(rng, 70), (1, 1): 0.3,
+                                      (0, 2): _dyadic(rng, 53)})
+    points = rng.integers(-10**6, 10**6, size=(100, 2))
+    _assert_kernel_is_scalar(F, points)
+
+
+def test_phase_kernel_guard_and_overflow():
+    # the per-coordinate bound 2^80 trips the guard, but no point passes 2^52
+    F = RealPolynomial.from_terms(2, {(1, 1): 0.75, (1, 0): 0.125})
+    points = np.asarray([[1 << 40, 1], [1, 1 << 40], [-(1 << 40), 3]], dtype=np.int64)
+    _assert_kernel_is_scalar(F, points)
+    over = RealPolynomial.univariate([0.0, 1.5])
+    with pytest.raises(PrecisionOverflow):
+        eval_fraction(over, (1 << 53,))
+    for call in (sums._fraction_array, sums._phase_array):
+        with pytest.raises(PrecisionOverflow):
+            call(over, np.asarray([[1], [1 << 53]], dtype=np.int64))
+
+
+def test_phase_kernel_empty_and_arity():
+    F = RealPolynomial.from_terms(2, {(1, 1): 0.3})
+    empty = np.zeros((0, 2), dtype=np.int64)
+    assert sums._fraction_array(F, empty).shape == (0,)
+    assert sums._phase_array(F, empty).shape == (0,)
+    assert sums._phase_array(F, empty).dtype == np.complex128
+    with pytest.raises(ArityMismatch):
+        sums._phase_array(F, np.zeros((3, 1), dtype=np.int64))
 
 
 def test_pairwise_sum_matches_plain():
